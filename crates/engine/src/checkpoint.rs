@@ -425,6 +425,10 @@ impl LiveCheckpointSink {
     /// still fails loudly.
     pub(crate) fn commit(&self, chunk: usize, records: Vec<ExecutionRecord>) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        debug_assert!(
+            state.chunks[chunk].is_none(),
+            "chunk {chunk} committed twice"
+        );
         state.chunks[chunk] = Some(records);
         let json = state.to_json();
         // The write stays under the lock so commits land on disk in
@@ -529,10 +533,8 @@ impl Engine {
             Some(&done),
             sink.as_ref(),
         );
-        for (c, recs) in run.chunk_records.into_iter().enumerate() {
-            if let Some(recs) = recs {
-                ckpt.chunks[c] = Some(recs);
-            }
+        for (c, recs) in run.chunk_records {
+            ckpt.chunks[c] = Some(recs);
         }
         std::fs::write(path, ckpt.to_json()).map_err(|e| EngineError::Io(e.to_string()))?;
 
@@ -746,6 +748,99 @@ mod tests {
         let mut tmp = live_path.as_os_str().to_owned();
         tmp.push(".tmp");
         assert!(!std::path::Path::new(&tmp).exists());
+    }
+
+    #[test]
+    fn multi_task_kill_and_resume_equals_unbroken_run() {
+        // 128 chunks of 256 starts, each claimed as 4 tasks.
+        let inst = vc_graph::gen::complete_binary_tree(14, vc_graph::Color::R, vc_graph::Color::B);
+        let config = RunConfig::default();
+        let chunk_size = plan_chunks(inst.n()).chunk_size;
+        assert_eq!(chunk_size, 4 * crate::TASK_STARTS);
+        let serial = vc_model::run::run_all(&inst, &WalkLeft, &config).unwrap();
+        let unbroken_path = temp_path("multi_task_unbroken.json");
+        let _ = std::fs::remove_file(&unbroken_path);
+        Engine::with_threads(2)
+            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &unbroken_path)
+            .unwrap();
+        let unbroken = std::fs::read(&unbroken_path).unwrap();
+        for threads in [1, 2, 8] {
+            let path = temp_path(&format!("multi_task_resumed_{threads}.json"));
+            let _ = std::fs::remove_file(&path);
+            let partial = Engine::with_threads(threads)
+                .with_chunk_quota(5)
+                .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+                .unwrap();
+            assert_eq!(partial.completed_chunks, 5, "thread count {threads}");
+            assert_eq!(partial.records, serial.records[..5 * chunk_size]);
+            let resumed = Engine::with_threads(threads)
+                .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+                .unwrap();
+            assert!(resumed.is_complete());
+            assert_eq!(resumed.records, serial.records);
+            assert_eq!(std::fs::read(&path).unwrap(), unbroken);
+        }
+    }
+
+    #[test]
+    fn live_sink_commits_each_multi_task_chunk_once() {
+        /// [`WalkLeft`] that panics on every run from `root`.
+        struct PanicAtRoot(usize);
+
+        impl QueryAlgorithm for PanicAtRoot {
+            type Output = u32;
+
+            fn fallback(&self) -> u32 {
+                u32::MAX
+            }
+
+            fn run(&self, oracle: &mut dyn Oracle) -> Result<u32, QueryError> {
+                assert!(oracle.root().node != self.0, "injected panic");
+                WalkLeft.run(oracle)
+            }
+        }
+
+        let inst = vc_graph::gen::complete_binary_tree(14, vc_graph::Color::R, vc_graph::Color::B);
+        let config = RunConfig::default();
+        let starts = config.starts.starts(inst.n()).unwrap();
+        let plan = plan_chunks(starts.len());
+        let serial = vc_model::run::run_all(&inst, &WalkLeft, &config).unwrap();
+        // Start 650 sits in the third task of chunk 2.
+        let algo = PanicAtRoot(650);
+        let identity = sweep_identity(&inst, &algo, &config, &starts);
+        // Every commit rewrites the whole file, so claim only the first
+        // six chunks (24 tasks).
+        let set = ChunkSet::parse(&format!("0..6/{}", plan.num_chunks)).unwrap();
+        for threads in [1, 2, 8] {
+            let path = temp_path(&format!("live_sink_{threads}.json"));
+            let _ = std::fs::remove_file(&path);
+            let sink =
+                LiveCheckpointSink::new(&path, SweepCheckpoint::fresh(identity, plan.num_chunks));
+            let engine = Engine::with_threads(threads).with_chunk_set(set.clone());
+            let sw = Stopwatch::start();
+            let done = vec![false; plan.num_chunks];
+            // A chunk committed twice trips the sink's debug assertion.
+            let run = run_sharded::<_, NoopTracer>(
+                &inst,
+                &algo,
+                &config,
+                &starts,
+                engine.limits(&sw, starts.len()).unwrap(),
+                Some(&done),
+                Some(&sink),
+            );
+            assert_eq!(run.aborted, vec![2]);
+            // Every other claimed chunk was committed, in start order.
+            let state = sink.state.into_inner().unwrap();
+            for c in 0..plan.num_chunks {
+                let (lo, hi) = plan.bounds(c, starts.len());
+                let expect = (c < 6 && c != 2).then(|| serial.records[lo..hi].to_vec());
+                assert_eq!(state.chunks[c], expect, "chunk {c} at {threads} threads");
+            }
+            // The last heartbeat on disk already holds every commit.
+            let on_disk = SweepCheckpoint::from_json(&std::fs::read_to_string(&path).unwrap());
+            assert_eq!(on_disk.unwrap(), state);
+        }
     }
 
     #[test]

@@ -13,35 +13,38 @@
 //!
 //! * The start set is cut into equal-size chunks by [`plan_chunks`], a pure
 //!   function of the number of starts — never of the number of workers — so
-//!   the partition boundaries are identical for every thread count. Workers
-//!   steal chunks from a shared atomic claim counter, so scheduling is racy,
-//!   but each chunk's content and index are not.
-//! * Outputs and [`ExecutionRecord`]s are placed by chunk index, so the
-//!   merged [`RunReport`] lists records in start order exactly like the
-//!   serial runner.
+//!   the partition boundaries are identical for every thread count.
+//! * A chunk is the *merge* unit; the *claim* unit is a task of at most 64
+//!   of its starts. Workers steal tasks from a shared atomic claim counter,
+//!   so a chunk that holds most of a sweep's volume is still spread over
+//!   every worker. Scheduling is racy, but each task's content and index
+//!   are not.
+//! * Outputs and [`ExecutionRecord`]s are placed by chunk index, then task
+//!   index, so the merged [`RunReport`] lists records in start order
+//!   exactly like the serial runner.
 //! * Cost aggregation goes through [`CostAccumulator`], whose partial state
-//!   is purely integral; merging per-chunk partials (in chunk order) yields
-//!   the same [`CostSummary`] bits as a serial fold regardless of how chunks
-//!   were distributed over threads.
+//!   is purely integral; merging per-task partials (in chunk order, then
+//!   task order) yields the same [`CostSummary`] bits as a serial fold
+//!   regardless of how tasks were distributed over threads.
 //!
 //! ## Robustness (DESIGN.md §11)
 //!
 //! Sweeps degrade gracefully instead of dying:
 //!
-//! * **Panic isolation.** Every chunk runs under `catch_unwind`. A
-//!   panicking chunk is retried once from a fresh scratch; a chunk that
-//!   panics on every attempt lands in [`EngineReport::aborted_chunks`] and
-//!   its starts simply carry no outputs/records. Panics are deterministic
-//!   (same algorithm, same chunk, same inputs), so the aborted set — and
-//!   therefore the merged summary over the surviving chunks — is identical
-//!   for every thread count.
+//! * **Panic isolation.** Every task runs under `catch_unwind`. A
+//!   panicking task is retried once from a fresh scratch; a task that
+//!   panics on every attempt aborts its whole chunk, which lands in
+//!   [`EngineReport::aborted_chunks`] and whose starts simply carry no
+//!   outputs/records. Panics are deterministic (same algorithm, same task,
+//!   same inputs), so the aborted set — and therefore the merged summary
+//!   over the surviving chunks — is identical for every thread count.
 //! * **Cooperative deadline / cancel.** [`Engine::with_deadline`] (or the
 //!   `VC_DEADLINE_MS` environment variable) and [`CancelFlag`] stop workers
-//!   at chunk-claim boundaries. Chunk claims are monotonic, so the executed
-//!   chunks always form a prefix of the chunk sequence and the partial
-//!   summary is a valid chunk-order merge; *which* prefix is
-//!   schedule-dependent, which is why deadline runs are flagged
-//!   [`EngineReport::degraded`].
+//!   at chunk-claim boundaries (before a chunk's first task). Claims are
+//!   monotonic, so the executed chunks always form a prefix of the chunk
+//!   sequence and the partial summary is a valid chunk-order merge;
+//!   *which* prefix is schedule-dependent, which is why deadline runs are
+//!   flagged [`EngineReport::degraded`].
 //! * **Deterministic kill proxy.** [`Engine::with_chunk_quota`] stops
 //!   claims after a fixed number of chunks — because claims are sequential,
 //!   a quota-`k` run executes exactly chunks `0..k` for any thread count.
@@ -54,12 +57,12 @@
 //!   (see the `checkpoint` module).
 //!
 //! [`Engine::run_all_traced`] additionally aggregates a
-//! [`vc_trace::MergeTracer`] (one fresh tracer per chunk, absorbed in chunk
-//! order), extending the same any-thread-count determinism guarantee to the
-//! tracer's mergeable state; see DESIGN.md §10 for the event model and why
-//! tracing cannot perturb the sweep. Every sweep — even at one worker —
-//! takes the chunked path, so panic isolation and chunk-level event counts
-//! are uniform across thread counts.
+//! [`vc_trace::MergeTracer`] (one fresh tracer per task, absorbed in chunk
+//! order, then task order), extending the same any-thread-count
+//! determinism guarantee to the tracer's mergeable state; see DESIGN.md
+//! §10 for the event model and why tracing cannot perturb the sweep. Every
+//! sweep — even at one worker — takes the chunked path, so panic isolation
+//! and chunk-level event counts are uniform across thread counts.
 //!
 //! ## Fleet execution (DESIGN.md §15–16)
 //!
@@ -94,9 +97,10 @@ pub mod checkpoint;
 pub mod partition;
 pub mod splice;
 
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 use vc_graph::Instance;
 use vc_model::cost::{CostAccumulator, CostSummary, ExecutionRecord};
@@ -475,15 +479,16 @@ impl Engine {
     /// [`Engine::run_all`] with a [`MergeTracer`] aggregated across the
     /// sweep, returning the merged tracer next to the report.
     ///
-    /// Each chunk folds its events into a fresh `T::default()`; the chunk
-    /// partials are absorbed in chunk index order, so — like the cost
-    /// summary — the merged tracer is bit-identical for every thread
-    /// count.
+    /// Each task folds its events into a fresh `T::default()`; the task
+    /// partials are absorbed in chunk index order, then task order, so —
+    /// like the cost summary — the merged tracer is bit-identical for every
+    /// thread count.
     ///
-    /// Per-chunk wall times (`chunk_timed`) are measured only when
-    /// `T::TIMED` is set, and are inherently schedule-dependent: mergeable
-    /// tracers must quarantine them away from their deterministic state
-    /// (see `SweepMetrics`' query/sched split in `vc-trace`).
+    /// Per-chunk busy times (`chunk_timed`, the sum of the chunk's task
+    /// times) are measured only when `T::TIMED` is set, and are inherently
+    /// schedule-dependent: mergeable tracers must quarantine them away from
+    /// their deterministic state (see `SweepMetrics`' query/sched split in
+    /// `vc-trace`).
     ///
     /// # Errors
     ///
@@ -603,15 +608,34 @@ impl SweepLimits<'_> {
     }
 }
 
-/// The work a single chunk produces: `(root, output, record)` per start, in
-/// chunk-local start order, plus the chunk's cost partial and its tracer
-/// partial (a [`NoopTracer`] on the untraced path).
-type ChunkResult<O, T> = (Vec<(usize, O, ExecutionRecord)>, CostAccumulator, T);
+/// Largest start count per *task*, the engine's claim unit. Workers claim
+/// tasks, not whole chunks, so one chunk holding most of a sweep's volume
+/// (the heap-ordered top of a deep tree) is spread over every worker
+/// instead of serializing the sweep; chunks stay the merge, limit and
+/// checkpoint unit. Sweeps of at most `TARGET_CHUNKS × MIN_CHUNK_STARTS`
+/// starts have one task per chunk.
+const TASK_STARTS: usize = MIN_CHUNK_STARTS;
 
-/// What one worker thread hands back at join: every chunk it claimed,
-/// tagged with the chunk's index; `None` marks a chunk abandoned after
-/// exhausting its panic retries.
-type WorkerChunks<O, T> = Vec<(usize, Option<ChunkResult<O, T>>)>;
+/// One claim unit: the start-index range `lo..hi` of chunk `chunk`.
+#[derive(Clone, Copy)]
+struct Task {
+    chunk: usize,
+    lo: usize,
+    hi: usize,
+}
+
+/// The work a single task produces: `(root, output, record)` per start, in
+/// start order, plus the task's cost partial, its tracer partial (a
+/// [`NoopTracer`] on the untraced path) and its busy nanoseconds (zero
+/// unless `T::TIMED`).
+type TaskResult<O, T> = (Vec<(usize, O, ExecutionRecord)>, CostAccumulator, T, u64);
+
+/// Per-task outcome: never claimed, executed, or abandoned after retries.
+enum TaskSlot<O, T> {
+    Unclaimed,
+    Done(TaskResult<O, T>),
+    Aborted,
+}
 
 /// A merged sharded sweep, before packaging into an [`EngineReport`].
 struct ShardedRun<O, T> {
@@ -624,33 +648,33 @@ struct ShardedRun<O, T> {
     skipped: Vec<usize>,
     /// Chunks outside the configured chunk range, ascending.
     out_of_range: Vec<usize>,
-    /// Per-chunk records for checkpointing: `Some` exactly for the chunks
-    /// executed by *this* run (pre-checkpointed chunks stay `None`).
-    chunk_records: Vec<Option<Vec<ExecutionRecord>>>,
+    /// `(chunk, records)` for every chunk executed by *this* run,
+    /// ascending. Built only on the checkpoint path (`done` given); the
+    /// plain sweeps leave it empty.
+    chunk_records: Vec<(usize, Vec<ExecutionRecord>)>,
     workers: usize,
 }
 
-/// The sweep-wide immutable inputs every chunk attempt reads: the
-/// instance, the algorithm, the run configuration, the resolved start set
-/// and the chunk plan over it. Shared by reference across all workers.
+/// The sweep-wide immutable inputs every task attempt reads: the
+/// instance, the algorithm, the run configuration and the resolved start
+/// set. Shared by reference across all workers.
 struct SweepInputs<'a, A> {
     inst: &'a Instance,
     algo: &'a A,
     config: &'a RunConfig,
     starts: &'a [usize],
-    plan: ChunkPlan,
 }
 
-/// Runs one chunk attempt. Split out of the worker loop so the
+/// Runs one task attempt. Split out of the worker loop so the
 /// `catch_unwind` boundary (the only one in the workspace — see the
-/// `centralized-panic-isolation` lint) wraps exactly one chunk's
+/// `centralized-panic-isolation` lint) wraps exactly one task's
 /// executions.
-fn run_chunk_attempt<A, T>(
+fn run_task_attempt<A, T>(
     sweep: &SweepInputs<'_, A>,
-    chunk: usize,
+    task: Task,
     attempt: u32,
     scratch: &mut ExecScratch,
-) -> std::thread::Result<ChunkResult<A::Output, T>>
+) -> std::thread::Result<TaskResult<A::Output, T>>
 where
     A: QueryAlgorithm + Sync,
     T: MergeTracer,
@@ -660,39 +684,169 @@ where
         algo,
         config,
         starts,
-        plan,
     } = *sweep;
     // `AssertUnwindSafe` is sound here: on panic the scratch (the only
     // state witnessed across the boundary) is discarded and rebuilt, and
-    // the chunk's partial results never leave the closure.
+    // the task's partial results never leave the closure.
     std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let (lo, hi) = plan.bounds(chunk, starts.len());
-        let mut outs = Vec::with_capacity(hi - lo);
+        let mut outs = Vec::with_capacity(task.hi - task.lo);
         let mut acc = CostAccumulator::default();
-        // Each chunk folds its events into a fresh tracer, so absorbing
-        // the partials in chunk order is schedule-independent. `T::TIMED`
+        // Each task folds its events into a fresh tracer, so absorbing
+        // the partials in start order is schedule-independent. `T::TIMED`
         // is a const: the untraced NoopTracer instantiation performs no
         // clock reads.
         let mut tracer = T::default();
-        tracer.chunk_claimed(chunk, hi - lo);
         if attempt > 0 {
-            tracer.chunk_retried(chunk, attempt);
+            tracer.chunk_retried(task.chunk, attempt);
         }
         let sw = if T::TIMED {
             Some(Stopwatch::start())
         } else {
             None
         };
-        for &root in &starts[lo..hi] {
+        for &root in &starts[task.lo..task.hi] {
             let (out, rec) = run_from_traced(inst, algo, root, config, scratch, &mut tracer);
             acc.add(&rec);
             outs.push((root, out, rec));
         }
-        if let Some(sw) = sw {
-            tracer.chunk_timed(chunk, sw.elapsed_nanos());
-        }
-        (outs, acc, tracer)
+        let nanos = sw.map_or(0, |sw| sw.elapsed_nanos());
+        (outs, acc, tracer, nanos)
     }))
+}
+
+/// Runs one task with panic isolation: a panicking attempt is retried
+/// once from a fresh scratch; a task that panics on every attempt comes
+/// back [`TaskSlot::Aborted`] and aborts its whole chunk at merge.
+fn run_task<A, T>(
+    sweep: &SweepInputs<'_, A>,
+    task: Task,
+    scratch: &mut ExecScratch,
+) -> TaskSlot<A::Output, T>
+where
+    A: QueryAlgorithm + Sync,
+    T: MergeTracer,
+{
+    for attempt in 0..MAX_CHUNK_ATTEMPTS {
+        match run_task_attempt::<A, T>(sweep, task, attempt, scratch) {
+            Ok(result) => return TaskSlot::Done(result),
+            // A panicking attempt may leave the scratch mid-epoch; rebuild
+            // it so the retry (and later tasks) start clean. The payload
+            // was already reported by the panic hook — loud, never silent.
+            Err(_payload) => *scratch = ExecScratch::new(),
+        }
+    }
+    TaskSlot::Aborted
+}
+
+/// The claim side of one sweep, shared by every worker: the tasks in
+/// claim order (chunk by chunk, then start by start), each chunk's task
+/// index range, one result slot per task, the claim counter and — under a
+/// live checkpoint — each chunk's count of unfinished tasks.
+struct TaskBoard<O, T> {
+    tasks: Vec<Task>,
+    /// Chunk `c`'s task index range; empty for chunks outside the claim
+    /// window, past the quota, or already checkpointed.
+    chunk_tasks: Vec<Range<usize>>,
+    slots: Vec<Mutex<TaskSlot<O, T>>>,
+    next: AtomicUsize,
+    /// Unfinished tasks per chunk; empty unless a live sink listens.
+    pending: Vec<AtomicUsize>,
+}
+
+impl<O, T> TaskBoard<O, T> {
+    /// Cuts the claim window of `limits` into tasks of at most
+    /// [`TASK_STARTS`] starts. Chunks past the quota and chunks marked in
+    /// `done` get no tasks.
+    fn new(limits: &SweepLimits<'_>, num_starts: usize, done: Option<&[bool]>, live: bool) -> Self {
+        let plan = limits.plan;
+        let mut tasks = Vec::new();
+        let mut chunk_tasks = vec![0..0; plan.num_chunks];
+        for &c in &limits.claims[..limits.claim_limit] {
+            if done.is_some_and(|d| d[c]) {
+                continue;
+            }
+            let (lo, hi) = plan.bounds(c, num_starts);
+            let first = tasks.len();
+            tasks.extend((lo..hi).step_by(TASK_STARTS).map(|t| Task {
+                chunk: c,
+                lo: t,
+                hi: hi.min(t + TASK_STARTS),
+            }));
+            chunk_tasks[c] = first..tasks.len();
+        }
+        let pending = if live {
+            chunk_tasks
+                .iter()
+                .map(|r| AtomicUsize::new(r.len()))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Self {
+            slots: tasks
+                .iter()
+                .map(|_| Mutex::new(TaskSlot::Unclaimed))
+                .collect(),
+            tasks,
+            chunk_tasks,
+            next: AtomicUsize::new(0),
+            pending,
+        }
+    }
+
+    /// Claims the next task, or `None` once the tasks run out or a limit
+    /// stops the sweep.
+    ///
+    /// This is the chunk-claim boundary: deadlines and cancellation are
+    /// checked before claiming a chunk's *first* task, and only then.
+    /// Claims advance the counter one task at a time, so the claimed tasks
+    /// always form a prefix that ends on a chunk boundary — every admitted
+    /// chunk runs to completion and the skipped chunks are a suffix of the
+    /// claim window.
+    fn claim(&self, limits: &SweepLimits<'_>) -> Option<(usize, Task)> {
+        let mut i = self.next.load(Ordering::Relaxed);
+        loop {
+            let task = *self.tasks.get(i)?;
+            if i == self.chunk_tasks[task.chunk].start && limits.should_stop() {
+                return None;
+            }
+            match self
+                .next
+                .compare_exchange_weak(i, i + 1, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => return Some((i, task)),
+                Err(current) => i = current,
+            }
+        }
+    }
+
+    /// Stores the outcome of task `i`. Under a live sink, returns the
+    /// records of the task's chunk, in start order, when this was the
+    /// chunk's last task to finish and none of its tasks aborted — so
+    /// each completed chunk is committed exactly once.
+    fn finish(&self, i: usize, outcome: TaskSlot<O, T>) -> Option<Vec<ExecutionRecord>> {
+        *lock_slot(&self.slots[i]) = outcome;
+        let chunk = self.tasks[i].chunk;
+        if self.pending.get(chunk)?.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return None;
+        }
+        let mut records = Vec::new();
+        for slot in &self.slots[self.chunk_tasks[chunk].clone()] {
+            match &*lock_slot(slot) {
+                TaskSlot::Done((outs, ..)) => {
+                    records.extend(outs.iter().map(|(_, _, rec)| rec.clone()));
+                }
+                _ => return None,
+            }
+        }
+        Some(records)
+    }
+}
+
+/// Locks a task slot. Slots are only written by the worker that claimed
+/// the task, outside `catch_unwind`, so poisoning cannot hide a result.
+fn lock_slot<S>(slot: &Mutex<S>) -> MutexGuard<'_, S> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn run_sharded<A, T>(
@@ -712,103 +866,49 @@ where
     let plan = limits.plan;
     let num_chunks = plan.num_chunks;
     let workers = limits.workers;
-    let next = AtomicUsize::new(0);
     let sweep = SweepInputs {
         inst,
         algo,
         config,
         starts,
-        plan,
     };
 
-    /// Per-chunk outcome after the join: never claimed, executed, or
-    /// abandoned after retries.
-    enum Slot<O, T> {
-        Unclaimed,
-        Done(ChunkResult<O, T>),
-        Aborted,
-    }
-    let mut slots: Vec<Slot<A::Output, T>> = Vec::with_capacity(num_chunks);
-    slots.resize_with(num_chunks, || Slot::Unclaimed);
-
-    let joined: Vec<std::thread::Result<WorkerChunks<A::Output, T>>> = std::thread::scope(|s| {
+    let board = TaskBoard::new(&limits, starts.len(), done, sink.is_some());
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let next = &next;
-                let limits = &limits;
-                let sweep = &sweep;
+                let (board, limits, sweep) = (&board, &limits, &sweep);
                 s.spawn(move || {
                     let mut scratch = ExecScratch::new();
-                    let mut produced: WorkerChunks<A::Output, T> = Vec::new();
-                    loop {
-                        // The claim boundary: the cooperative stop
-                        // point for deadlines and cancellation. Every
-                        // *claimed* chunk runs to completion, so the
-                        // merged report is always a chunk-order merge
-                        // of fully-executed chunks.
-                        if limits.should_stop() {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= limits.claim_limit {
-                            break;
-                        }
-                        let c = limits.claims[i];
-                        if done.is_some_and(|d| d[c]) {
-                            continue; // already checkpointed
-                        }
-                        let mut outcome = None;
-                        for attempt in 0..MAX_CHUNK_ATTEMPTS {
-                            match run_chunk_attempt::<A, T>(sweep, c, attempt, &mut scratch) {
-                                Ok(result) => {
-                                    outcome = Some(result);
-                                    break;
-                                }
-                                Err(_payload) => {
-                                    // A panicking attempt may leave the
-                                    // scratch mid-epoch; rebuild it so
-                                    // the retry (and later chunks) start
-                                    // clean. The payload was already
-                                    // reported by the panic hook —
-                                    // loud, never silent.
-                                    scratch = ExecScratch::new();
-                                }
-                            }
-                        }
-                        if let (Some(sink), Some((outs, _, _))) = (sink, &outcome) {
+                    while let Some((i, task)) = board.claim(limits) {
+                        let outcome = run_task::<A, T>(sweep, task, &mut scratch);
+                        if let (Some(sink), Some(records)) = (sink, board.finish(i, outcome)) {
                             // Live heartbeat: persist the completed chunk
                             // into the partial checkpoint so a supervisor
                             // can observe progress mid-run.
-                            sink.commit(c, outs.iter().map(|(_, _, rec)| rec.clone()).collect());
+                            sink.commit(task.chunk, records);
                         }
-                        produced.push((c, outcome));
                     }
-                    produced
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join()).collect()
+        for handle in handles {
+            // Workers only run task bodies inside `catch_unwind`; a join
+            // error means the harness itself failed, which must stay fatal.
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
     });
 
-    for res in joined {
-        match res {
-            Ok(produced) => {
-                for (c, chunk) in produced {
-                    slots[c] = match chunk {
-                        Some(result) => Slot::Done(result),
-                        None => Slot::Aborted,
-                    };
-                }
-            }
-            // Workers only run chunk bodies inside `catch_unwind`; a join
-            // error means the harness itself failed, which must stay fatal.
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-
-    // Merge in chunk order: chunks partition `starts` contiguously, so this
-    // reproduces the serial runner's start-order records exactly (modulo
-    // the gaps left by aborted/skipped/checkpointed chunks).
+    // Merge in chunk order, then task order: chunks partition `starts`
+    // contiguously and tasks partition each chunk, so this reproduces the
+    // serial runner's start-order records exactly (modulo the gaps left by
+    // aborted/skipped/checkpointed chunks).
+    let mut slots = board
+        .slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner));
     let mut outputs = vec![None; inst.n()];
     let mut records = Vec::with_capacity(starts.len());
     let mut total = CostAccumulator::default();
@@ -826,41 +926,59 @@ where
     let mut aborted = Vec::new();
     let mut skipped = Vec::new();
     let mut out_of_range = Vec::new();
-    let mut chunk_records: Vec<Option<Vec<ExecutionRecord>>> = Vec::with_capacity(num_chunks);
-    for (c, slot) in slots.into_iter().enumerate() {
-        let pre_done = done.is_some_and(|d| d[c]);
-        match slot {
-            Slot::Done((outs, acc, tracer)) => {
+    let mut chunk_records = Vec::new();
+    for (c, range) in board.chunk_tasks.into_iter().enumerate() {
+        let (lo, hi) = plan.bounds(c, starts.len());
+        let mut results = Vec::with_capacity(range.len());
+        let (mut any_aborted, mut any_unclaimed) = (false, range.is_empty());
+        for slot in slots.by_ref().take(range.len()) {
+            match slot {
+                TaskSlot::Done(result) => results.push(result),
+                TaskSlot::Aborted => any_aborted = true,
+                TaskSlot::Unclaimed => any_unclaimed = true,
+            }
+        }
+        if any_aborted {
+            // The aborted task's attempt tracers died with its attempts
+            // and the chunk's other tasks are discarded; account for the
+            // claim and the abort on the merged tracer, still in chunk
+            // order.
+            merged_tracer.chunk_claimed(c, hi - lo);
+            merged_tracer.chunk_aborted(c);
+            aborted.push(c);
+        } else if !any_unclaimed {
+            // Claim and busy time are announced at merge, once per chunk,
+            // so the event stream is the same for every task schedule.
+            merged_tracer.chunk_claimed(c, hi - lo);
+            let first = records.len();
+            let mut nanos = 0u64;
+            for (outs, acc, tracer, busy) in results {
                 total.merge(&acc);
                 merged_tracer.absorb(tracer);
-                merged_tracer.chunk_merged(c);
-                chunk_records.push(Some(outs.iter().map(|(_, _, rec)| rec.clone()).collect()));
+                nanos = nanos.saturating_add(busy);
                 for (root, out, rec) in outs {
                     outputs[root] = Some(out);
                     records.push(rec);
                 }
             }
-            Slot::Aborted => {
-                // The chunk's attempt tracers died with their attempts;
-                // account for the claim and the abort on the merged tracer,
-                // still in chunk order.
-                let (lo, hi) = plan.bounds(c, starts.len());
-                merged_tracer.chunk_claimed(c, hi - lo);
-                merged_tracer.chunk_aborted(c);
-                aborted.push(c);
-                chunk_records.push(None);
+            if T::TIMED {
+                merged_tracer.chunk_timed(c, nanos);
             }
-            Slot::Unclaimed if pre_done => chunk_records.push(None),
-            // A chunk outside the configured set is another partition's
-            // work, deliberately left alone — not degradation.
-            Slot::Unclaimed if limits.set.is_some_and(|s| !s.contains(c)) => {
-                out_of_range.push(c);
-                chunk_records.push(None);
+            merged_tracer.chunk_merged(c);
+            if done.is_some() {
+                chunk_records.push((c, records[first..].to_vec()));
             }
-            Slot::Unclaimed => {
-                skipped.push(c);
-                chunk_records.push(None);
-            }
+        } else if done.is_some_and(|d| d[c]) {
+            // Checkpointed by an earlier run: nothing to merge.
+        } else if limits.set.is_some_and(|s| !s.contains(c)) {
+            // Another partition's work, deliberately left alone — not
+            // degradation.
+            out_of_range.push(c);
+        } else {
+            // Never admitted (deadline/quota/cancel): any tasks that did
+            // run are discarded, so no report or checkpoint holds half a
+            // chunk.
+            skipped.push(c);
         }
     }
     ShardedRun {
@@ -990,6 +1108,32 @@ mod tests {
                 "injected panic in chunk {}",
                 self.chunk
             );
+            WalkLeft.run(oracle)
+        }
+    }
+
+    /// A sweep whose chunks are claimed as several tasks: n = 32 767
+    /// plans 128 chunks of [`BIG_CHUNK`] starts, i.e. 4 tasks per chunk.
+    fn multi_task_tree() -> Instance {
+        gen::complete_binary_tree(14, Color::R, Color::B)
+    }
+
+    const BIG_CHUNK: usize = 256;
+
+    /// [`WalkLeft`] that panics on every run from `root`.
+    struct PanicAtRoot {
+        root: usize,
+    }
+
+    impl QueryAlgorithm for PanicAtRoot {
+        type Output = u32;
+
+        fn fallback(&self) -> u32 {
+            u32::MAX
+        }
+
+        fn run(&self, oracle: &mut dyn Oracle) -> Result<u32, QueryError> {
+            assert!(oracle.root().node != self.root, "injected panic");
             WalkLeft.run(oracle)
         }
     }
@@ -1402,6 +1546,135 @@ mod tests {
         }
         // Contiguous ranges in order: concatenation is the serial sweep.
         assert_eq!(merged, clean.report.records);
+    }
+
+    #[test]
+    fn panic_in_a_later_task_aborts_exactly_its_chunk() {
+        let inst = multi_task_tree();
+        let num_chunks = plan_chunks(inst.n()).num_chunks;
+        assert_eq!(plan_chunks(inst.n()).chunk_size, BIG_CHUNK);
+        let config = RunConfig::default();
+        let clean = Engine::with_threads(1)
+            .run_all(&inst, &WalkLeft, &config)
+            .unwrap();
+        // Chunk 2 covers starts 512..768; its third task is 640..704.
+        let algo = PanicAtRoot { root: 650 };
+        let (lo, hi) = (2 * BIG_CHUNK, 3 * BIG_CHUNK);
+        let mut per_thread = Vec::new();
+        for threads in [1, 2, 8] {
+            let (report, m) = Engine::with_threads(threads)
+                .run_all_traced::<_, SweepMetrics>(&inst, &algo, &config)
+                .unwrap();
+            assert_eq!(report.aborted_chunks, vec![2], "thread count {threads}");
+            assert!(report.skipped_chunks.is_empty());
+            assert!(report.degraded);
+            // The whole chunk is dropped, not just the panicking task.
+            for v in 0..inst.n() {
+                if (lo..hi).contains(&v) {
+                    assert_eq!(report.report.outputs[v], None);
+                } else {
+                    assert_eq!(report.report.outputs[v], clean.report.outputs[v]);
+                }
+            }
+            let mut expect = clean.report.records[..lo].to_vec();
+            expect.extend_from_slice(&clean.report.records[hi..]);
+            assert_eq!(report.report.records, expect);
+            assert_eq!(report.summary.runs, inst.n() - BIG_CHUNK);
+            // Chunk events stay once per chunk: the aborted task's attempt
+            // tracers die with it, and the chunk is claimed and aborted
+            // once on the merged tracer.
+            assert_eq!(m.query.chunks_claimed, num_chunks as u64);
+            assert_eq!(m.query.chunks_merged, num_chunks as u64 - 1);
+            assert_eq!(m.query.chunks_aborted, 1);
+            assert_eq!(m.query.chunks_retried, 0);
+            assert_eq!(m.sched.chunks_timed, num_chunks as u64 - 1);
+            per_thread.push((report.summary, report.report.records, m.query));
+        }
+        assert!(per_thread.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn chunk_quota_on_multi_task_chunks_completes_whole_chunks() {
+        let inst = multi_task_tree();
+        let num_chunks = plan_chunks(inst.n()).num_chunks;
+        let config = RunConfig::default();
+        let clean = Engine::with_threads(1)
+            .run_all(&inst, &WalkLeft, &config)
+            .unwrap();
+        for threads in [1, 2, 8] {
+            let report = Engine::with_threads(threads)
+                .with_chunk_quota(5)
+                .run_all(&inst, &WalkLeft, &config)
+                .unwrap();
+            assert!(report.degraded);
+            assert!(report.aborted_chunks.is_empty());
+            assert_eq!(report.skipped_chunks, (5..num_chunks).collect::<Vec<_>>());
+            assert_eq!(report.report.records, clean.report.records[..5 * BIG_CHUNK]);
+            assert_eq!(report.summary.runs, 5 * BIG_CHUNK);
+        }
+    }
+
+    #[test]
+    fn cancel_inside_a_multi_task_chunk_skips_a_suffix() {
+        /// [`WalkLeft`] that trips a cancel flag when started from `root`.
+        struct CancelAtRoot {
+            root: usize,
+            flag: CancelFlag,
+        }
+
+        impl QueryAlgorithm for CancelAtRoot {
+            type Output = u32;
+
+            fn fallback(&self) -> u32 {
+                u32::MAX
+            }
+
+            fn run(&self, oracle: &mut dyn Oracle) -> Result<u32, QueryError> {
+                if oracle.root().node == self.root {
+                    self.flag.cancel();
+                }
+                WalkLeft.run(oracle)
+            }
+        }
+
+        let inst = multi_task_tree();
+        let num_chunks = plan_chunks(inst.n()).num_chunks;
+        let config = RunConfig::default();
+        let clean = Engine::with_threads(1)
+            .run_all(&inst, &WalkLeft, &config)
+            .unwrap();
+        for threads in [1, 2, 8] {
+            let flag = CancelFlag::new();
+            // Start 1 400 lies in the second task of chunk 5.
+            let algo = CancelAtRoot {
+                root: 5 * BIG_CHUNK + 120,
+                flag: flag.clone(),
+            };
+            let report = Engine::with_threads(threads)
+                .with_cancel_flag(flag)
+                .run_all(&inst, &algo, &config)
+                .unwrap();
+            assert!(report.degraded);
+            assert!(report.aborted_chunks.is_empty());
+            // The tripping chunk was admitted, so it finishes; what
+            // follows is skipped as one suffix, with no half chunk.
+            let first_skipped = report.skipped_chunks[0];
+            assert!(first_skipped > 5, "thread count {threads}");
+            if threads == 1 {
+                assert_eq!(first_skipped, 6);
+            }
+            assert_eq!(
+                report.skipped_chunks,
+                (first_skipped..num_chunks).collect::<Vec<_>>()
+            );
+            assert_eq!(
+                report.report.records,
+                clean.report.records[..first_skipped * BIG_CHUNK]
+            );
+            for v in first_skipped * BIG_CHUNK..inst.n() {
+                assert_eq!(report.report.outputs[v], None);
+            }
+        }
     }
 
     #[test]

@@ -210,32 +210,6 @@ pub fn follow<O: Oracle + ?Sized>(
     }
 }
 
-/// Hints the cache line holding `stamps[w]` into L1 ahead of the BFS
-/// scan. Purely a performance hint: enabled only by the `prefetch`
-/// feature on x86_64, compiled to nothing everywhere else, and never
-/// changes an observable result.
-#[cfg(all(feature = "prefetch", target_arch = "x86_64"))]
-#[inline(always)]
-fn prefetch_stamp(stamps: &[u32], w: usize) {
-    if w < stamps.len() {
-        // SAFETY: the pointer is in-bounds (checked above) and
-        // `_mm_prefetch` performs no memory access observable by the
-        // program — it is a scheduling hint only.
-        unsafe {
-            core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                stamps.as_ptr().add(w).cast::<i8>(),
-            );
-        }
-    }
-}
-
-/// No-op stand-in when the `prefetch` feature is off (or the target is
-/// not x86_64); the optimizer deletes the call and the empty loop above
-/// it.
-#[cfg(not(all(feature = "prefetch", target_arch = "x86_64")))]
-#[inline(always)]
-fn prefetch_stamp(_stamps: &[u32], _w: usize) {}
-
 /// Reusable, epoch-stamped scratch buffers behind an [`Execution`].
 ///
 /// The serial runner allocates one visited set per start node; over a sweep
@@ -524,15 +498,8 @@ impl<'a, T: Tracer> Execution<'a, T> {
             let d = sc.bfs_dist[v] + 1;
             // Iterate the CSR row as a slice: one offset lookup per node
             // instead of a bounds check per neighbor, which is most of the
-            // work on the flat layout at 10⁶ nodes. Degrees are O(1), so
-            // hinting the row's stamp lines ahead of the scan hides the
-            // random-access latency of `bfs_stamp` (no-op unless the
-            // `prefetch` feature is enabled on x86_64).
-            let row = inst.graph.neighbor_row(v);
-            for &w in row {
-                prefetch_stamp(&sc.bfs_stamp, w as usize);
-            }
-            for &w in row {
+            // work on the flat layout at 10⁶ nodes.
+            for &w in inst.graph.neighbor_row(v) {
                 let w = w as usize;
                 if sc.bfs_stamp[w] != epoch {
                     sc.bfs_stamp[w] = epoch;

@@ -67,19 +67,21 @@ pub enum TraceEvent {
         /// Chunks in the full plan being sliced.
         total: usize,
     },
-    /// An engine worker claimed a chunk of start nodes.
+    /// The engine ran a chunk of start nodes (emitted at merge, once per
+    /// chunk, whichever workers ran its tasks).
     ChunkClaimed {
         /// Chunk index in the fixed partition of the start set.
         chunk: usize,
         /// Number of start nodes in the chunk.
         starts: usize,
     },
-    /// A worker finished a chunk and recorded its wall time. The only
+    /// A chunk finished; its busy time is recorded at merge. The only
     /// event whose payload varies between runs.
     ChunkTimed {
         /// Chunk index.
         chunk: usize,
-        /// Wall-clock nanoseconds the chunk's executions took.
+        /// Wall-clock nanoseconds the chunk's executions took, summed over
+        /// its tasks.
         nanos: u64,
     },
     /// The merge loop absorbed a chunk's partial results (always in chunk
@@ -88,8 +90,8 @@ pub enum TraceEvent {
         /// Chunk index.
         chunk: usize,
     },
-    /// A chunk's executions panicked and the engine is re-running the
-    /// chunk from a fresh scratch (bounded retry; see `vc-engine`).
+    /// A task of a chunk panicked and the engine is re-running the task
+    /// from a fresh scratch (bounded retry; see `vc-engine`).
     ChunkRetried {
         /// Chunk index.
         chunk: usize,

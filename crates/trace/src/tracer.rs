@@ -66,13 +66,20 @@ pub trait Tracer {
         let _ = (lo, hi, total);
     }
 
-    /// An engine worker claimed chunk `chunk` holding `starts` start nodes.
+    /// The engine ran chunk `chunk` holding `starts` start nodes. Emitted
+    /// at merge, once per executed or aborted chunk and in chunk order,
+    /// however many tasks (the engine's claim unit) the chunk was split
+    /// into and whichever workers ran them.
     #[inline]
     fn chunk_claimed(&mut self, chunk: usize, starts: usize) {
         let _ = (chunk, starts);
     }
 
-    /// A worker finished chunk `chunk` in `nanos` wall-clock nanoseconds.
+    /// Chunk `chunk` kept workers busy for `nanos` wall-clock nanoseconds:
+    /// the sum of its tasks' busy times. Emitted at merge, once per
+    /// completed chunk. Schedule-dependent, so mergeable tracers keep it
+    /// out of their deterministic state (`SweepMetrics` quarantines it in
+    /// `SchedStats`).
     #[inline]
     fn chunk_timed(&mut self, chunk: usize, nanos: u64) {
         let _ = (chunk, nanos);
@@ -84,9 +91,10 @@ pub trait Tracer {
         let _ = chunk;
     }
 
-    /// Chunk `chunk` panicked and is being re-run (`attempt` = 1 for the
-    /// first retry). Retries are deterministic: a chunk that panics once
-    /// panics on every run, so this hook fires thread-count-invariantly.
+    /// A task of chunk `chunk` panicked and is being re-run (`attempt` = 1
+    /// for the first retry). Retries are deterministic: a task that panics
+    /// once panics on every run, so this hook fires
+    /// thread-count-invariantly.
     #[inline]
     fn chunk_retried(&mut self, chunk: usize, attempt: u32) {
         let _ = (chunk, attempt);
@@ -263,21 +271,21 @@ pub struct NoopTracer;
 
 impl Tracer for NoopTracer {}
 
-/// A tracer aggregated per chunk by the sharded engine and merged in
-/// chunk order.
+/// A tracer aggregated per task by the sharded engine and merged in
+/// start order (chunk order, then task order).
 ///
 /// Implementations must make `absorb` order-compatible with serial
-/// accumulation: folding events chunk by chunk and absorbing the chunk
-/// partials in chunk index order must equal folding the whole sweep into
-/// one tracer. Purely integral state (counters, histograms, integer
+/// accumulation: folding events task by task and absorbing the task
+/// partials in start order must equal folding the whole sweep into one
+/// tracer. Purely integral state (counters, histograms, integer
 /// sums) satisfies this for free.
 pub trait MergeTracer: Tracer + Default + Send {
-    /// Whether the engine should wall-clock each chunk and call
+    /// Whether the engine should wall-clock each task and call
     /// [`Tracer::chunk_timed`]. `false` for [`NoopTracer`] so the
     /// untraced sharded path performs no clock reads at all.
     const TIMED: bool = true;
 
-    /// Folds another tracer's state (a later chunk's partial) into this
+    /// Folds another tracer's state (a later task's partial) into this
     /// one.
     fn absorb(&mut self, other: Self);
 }
@@ -327,6 +335,20 @@ impl RecordingTracer {
         } else {
             self.events.push(event);
         }
+    }
+}
+
+/// The sharded engine appends its partials in merge order, so a sweep
+/// records the same log at every thread count. Untimed: a wall-clock
+/// `ChunkTimed` event would make two recordings of one sweep differ.
+impl MergeTracer for RecordingTracer {
+    const TIMED: bool = false;
+
+    fn absorb(&mut self, other: Self) {
+        for event in other.events {
+            self.push(event);
+        }
+        self.dropped += other.dropped;
     }
 }
 
@@ -469,6 +491,29 @@ mod tests {
         }
         assert_eq!(t.events.len(), 2);
         assert_eq!(t.dropped, 3);
+    }
+
+    #[test]
+    fn recording_tracer_absorbs_in_order_under_its_cap() {
+        let mut merged = RecordingTracer::with_capacity_limit(3);
+        merged.chunk_claimed(0, 64);
+        let mut part = RecordingTracer::new();
+        part.query_issued(0, 1);
+        part.query_issued(1, 2);
+        part.query_issued(2, 3);
+        merged.absorb(part);
+        assert_eq!(
+            merged.events,
+            vec![
+                TraceEvent::ChunkClaimed {
+                    chunk: 0,
+                    starts: 64
+                },
+                TraceEvent::QueryIssued { from: 0, port: 1 },
+                TraceEvent::QueryIssued { from: 1, port: 2 },
+            ]
+        );
+        assert_eq!(merged.dropped, 1);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 #   scripts/ci.sh             # everything (the full pre-merge gate)
 #   scripts/ci.sh --quick     # tier-1 only: fmt -> build -> cargo test -q
 #   scripts/ci.sh fast-gate   # fmt + clippy + xtask lint + JSON documents
-#   scripts/ci.sh tests       # test suites incl. VC_THREADS=2 determinism,
+#   scripts/ci.sh tests       # test suites incl. the proptest-gated
+#                             # property suites, VC_THREADS=2 determinism,
 #                             # fault and fleet-splice suites
 #   scripts/ci.sh gates       # release gates: bench baseline, trace/theta
 #                             # reports, supervised chaos soak + merge
@@ -65,6 +66,11 @@ run_tests() {
     step "cargo build --release" cargo build --release
 
     step "cargo test -q" cargo test -q
+
+    # The property suites are feature-gated out of the plain run above;
+    # the fast-gate only lints them, so run them here.
+    step "cargo test --features proptest -p vc-bench" \
+        cargo test -q --features proptest -p vc-bench
 
     # The plain test run above already exercises the engine at 1/2/8
     # workers; re-running the determinism-sensitive suites with

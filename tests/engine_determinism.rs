@@ -9,7 +9,7 @@
 use vc_core::problems::hierarchical::{DeterministicSolver, RandomizedSolver};
 use vc_core::problems::leaf_coloring::{DistanceSolver, RwToLeaf};
 use vc_engine::Engine;
-use vc_graph::{gen, Instance};
+use vc_graph::{gen, Color, Instance};
 use vc_model::run::{run_all, QueryAlgorithm, RunConfig, StartSelection};
 use vc_model::{Budget, RandomTape};
 
@@ -128,6 +128,28 @@ fn sampled_sweeps_are_thread_count_invariant() {
         ..RunConfig::default()
     };
     assert_thread_count_invariant("leaf-coloring/sampled", &inst, &DistanceSolver, &config);
+}
+
+#[test]
+fn multi_task_chunks_are_thread_count_invariant() {
+    // n = 32 767 plans 128 chunks of 256 starts, so every chunk is claimed
+    // as 4 tasks of 64 starts. The heap-ordered top chunk holds most of
+    // the deterministic volume and is split across workers; the merge must
+    // still reproduce the serial sweep byte for byte.
+    let inst = gen::complete_binary_tree(14, Color::R, Color::B);
+    assert_eq!(vc_engine::plan_chunks(inst.n()).chunk_size, 256);
+    assert_thread_count_invariant(
+        "leaf-coloring/det multi-task",
+        &inst,
+        &DistanceSolver,
+        &RunConfig::default(),
+    );
+    assert_thread_count_invariant(
+        "leaf-coloring/rw multi-task",
+        &inst,
+        &RwToLeaf::default(),
+        &rand_config(19),
+    );
 }
 
 #[test]

@@ -17,10 +17,10 @@
 use vc_core::problems::hierarchical::DeterministicSolver;
 use vc_core::problems::leaf_coloring::{DistanceSolver, RwToLeaf};
 use vc_engine::Engine;
-use vc_graph::{gen, Instance};
+use vc_graph::{gen, Color, Instance};
 use vc_model::run::{run_all, run_all_traced, QueryAlgorithm, RunConfig, StartSelection};
 use vc_model::{Budget, RandomTape};
-use vc_trace::{QueryStats, RecordingTracer, SweepMetrics};
+use vc_trace::{QueryStats, RecordingTracer, SweepMetrics, TraceEvent};
 
 /// Runs one case through the serial runner, the untraced engine and the
 /// traced engine at 1/2/8 threads, asserting transparency and metric
@@ -198,4 +198,64 @@ fn recorded_event_streams_are_reproducible() {
     run_all_traced(&inst, &DistanceSolver, &config, &mut b).expect("valid start selection");
     assert!(!a.events.is_empty());
     assert_eq!(a, b);
+}
+
+#[test]
+fn multi_task_event_streams_are_thread_count_invariant() {
+    // n = 32 767 claims every chunk as 4 tasks; the merged event log —
+    // per-start events in start order, framed by one ChunkClaimed /
+    // ChunkMerged pair per chunk — must not depend on which worker ran
+    // which task.
+    let inst = gen::complete_binary_tree(14, Color::R, Color::B);
+    let config = rand_config(19);
+    let algo = RwToLeaf::default();
+    let (_, reference) = Engine::with_threads(1)
+        .run_all_traced::<_, RecordingTracer>(&inst, &algo, &config)
+        .expect("valid start selection");
+    for threads in [2usize, 8] {
+        let (_, events) = Engine::with_threads(threads)
+            .run_all_traced::<_, RecordingTracer>(&inst, &algo, &config)
+            .expect("valid start selection");
+        assert!(
+            events == reference,
+            "event stream differs at {threads} threads"
+        );
+    }
+    let plan = vc_engine::plan_chunks(inst.n());
+    let claimed: Vec<(usize, usize)> = reference
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::ChunkClaimed { chunk, starts } => Some((*chunk, *starts)),
+            _ => None,
+        })
+        .collect();
+    let expected: Vec<(usize, usize)> = (0..plan.num_chunks)
+        .map(|c| {
+            let (lo, hi) = plan.bounds(c, inst.n());
+            (c, hi - lo)
+        })
+        .collect();
+    assert_eq!(claimed, expected, "one ChunkClaimed per chunk, in order");
+    assert!(!reference
+        .events
+        .iter()
+        .any(|e| matches!(e, TraceEvent::ChunkTimed { .. })));
+
+    // Without the engine's chunk framing, the log is the serial runner's.
+    let mut serial = RecordingTracer::new();
+    run_all_traced(&inst, &algo, &config, &mut serial).expect("valid start selection");
+    let per_start: Vec<&TraceEvent> = reference
+        .events
+        .iter()
+        .filter(|e| {
+            !matches!(
+                e,
+                TraceEvent::ChunkPlanned { .. }
+                    | TraceEvent::ChunkClaimed { .. }
+                    | TraceEvent::ChunkMerged { .. }
+            )
+        })
+        .collect();
+    assert!(per_start.iter().copied().eq(serial.events.iter()));
 }
