@@ -1,4 +1,4 @@
-//! Integration: the tracer hooks sit *inside* [`vc_model::Execution`],
+//! Integration: the tracer sits *inside* [`vc_model::Execution`],
 //! below the [`AuditedOracle`] interposer — so auditing an execution does
 //! not change its typed event stream, and tracing does not change what the
 //! auditor observes. The two observability layers compose without

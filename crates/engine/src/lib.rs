@@ -107,7 +107,7 @@ use vc_model::cost::{CostAccumulator, CostSummary, ExecutionRecord};
 use vc_model::oracle::ExecScratch;
 use vc_model::run::{run_from_traced, QueryAlgorithm, RunConfig, RunReport};
 use vc_trace::time::Stopwatch;
-use vc_trace::{MergeTracer, NoopTracer};
+use vc_trace::{MergeTracer, NoopTracer, TraceEvent};
 
 pub use checkpoint::{
     sweep_identity, CheckpointReport, EngineError, SweepCheckpoint, SweepIdentity,
@@ -484,7 +484,7 @@ impl Engine {
     /// like the cost summary — the merged tracer is bit-identical for every
     /// thread count.
     ///
-    /// Per-chunk busy times (`chunk_timed`, the sum of the chunk's task
+    /// Per-chunk busy times (`ChunkTimed`, the sum of the chunk's task
     /// times) are measured only when `T::TIMED` is set, and are inherently
     /// schedule-dependent: mergeable tracers must quarantine them away from
     /// their deterministic state (see `SweepMetrics`' query/sched split in
@@ -697,7 +697,10 @@ where
         // clock reads.
         let mut tracer = T::default();
         if attempt > 0 {
-            tracer.chunk_retried(task.chunk, attempt);
+            tracer.on(TraceEvent::ChunkRetried {
+                chunk: task.chunk,
+                attempt,
+            });
         }
         let sw = if T::TIMED {
             Some(Stopwatch::start())
@@ -915,12 +918,19 @@ where
     let mut merged_tracer = T::default();
     // The plan is announced once, on the merged tracer (the merge loop is
     // serial), so the event count and its arguments are thread-invariant.
-    merged_tracer.chunk_planned(num_chunks, plan.chunk_size);
+    merged_tracer.on(TraceEvent::ChunkPlanned {
+        chunks: num_chunks,
+        chunk_size: plan.chunk_size,
+    });
     if let Some(set) = limits.set {
         // One event per contiguous run: a single-range set announces
         // itself exactly like the historical whole-slice partition.
         for r in set.ranges() {
-            merged_tracer.partition_restricted(r.lo(), r.hi(), r.total());
+            merged_tracer.on(TraceEvent::PartitionRestricted {
+                lo: r.lo(),
+                hi: r.hi(),
+                total: r.total(),
+            });
         }
     }
     let mut aborted = Vec::new();
@@ -929,6 +939,10 @@ where
     let mut chunk_records = Vec::new();
     for (c, range) in board.chunk_tasks.into_iter().enumerate() {
         let (lo, hi) = plan.bounds(c, starts.len());
+        let claimed = TraceEvent::ChunkClaimed {
+            chunk: c,
+            starts: hi - lo,
+        };
         let mut results = Vec::with_capacity(range.len());
         let (mut any_aborted, mut any_unclaimed) = (false, range.is_empty());
         for slot in slots.by_ref().take(range.len()) {
@@ -943,13 +957,13 @@ where
             // and the chunk's other tasks are discarded; account for the
             // claim and the abort on the merged tracer, still in chunk
             // order.
-            merged_tracer.chunk_claimed(c, hi - lo);
-            merged_tracer.chunk_aborted(c);
+            merged_tracer.on(claimed);
+            merged_tracer.on(TraceEvent::ChunkAborted { chunk: c });
             aborted.push(c);
         } else if !any_unclaimed {
             // Claim and busy time are announced at merge, once per chunk,
             // so the event stream is the same for every task schedule.
-            merged_tracer.chunk_claimed(c, hi - lo);
+            merged_tracer.on(claimed);
             let first = records.len();
             let mut nanos = 0u64;
             for (outs, acc, tracer, busy) in results {
@@ -962,9 +976,9 @@ where
                 }
             }
             if T::TIMED {
-                merged_tracer.chunk_timed(c, nanos);
+                merged_tracer.on(TraceEvent::ChunkTimed { chunk: c, nanos });
             }
-            merged_tracer.chunk_merged(c);
+            merged_tracer.on(TraceEvent::ChunkMerged { chunk: c });
             if done.is_some() {
                 chunk_records.push((c, records[first..].to_vec()));
             }

@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use vc_graph::{Instance, NodeLabel, Port};
-use vc_trace::{NoopTracer, Tracer};
+use vc_trace::{NoopTracer, TraceEvent, Tracer};
 
 /// What a query reveals about a node: its handle, unique identifier, degree
 /// and entire input label (§2.2).
@@ -325,7 +325,7 @@ impl ScratchSlot<'_> {
 /// worker threads without locking.
 ///
 /// The `T` parameter is the execution's [`Tracer`]. It defaults to the
-/// zero-sized [`NoopTracer`], whose empty hooks monomorphize away — the
+/// zero-sized [`NoopTracer`], whose empty hook monomorphizes away — the
 /// untraced [`Execution::new`] / [`Execution::with_scratch`] constructors
 /// compile to the exact pre-tracing hot path. A long-lived tracer is lent
 /// to an execution as `T = &mut SomeTracer` via
@@ -383,7 +383,7 @@ impl<'a> Execution<'a, NoopTracer> {
 impl<'a, T: Tracer> Execution<'a, T> {
     /// [`Execution::with_scratch`] with an explicit tracer receiving the
     /// execution's typed event stream (pass `&mut tracer` to keep
-    /// ownership with the sweep loop). Tracer hooks observe the execution
+    /// ownership with the sweep loop). The tracer observes the execution
     /// but cannot influence it, so traced and untraced runs produce
     /// bit-identical outputs and records.
     pub fn with_scratch_traced(
@@ -530,9 +530,12 @@ impl<T: Tracer> Oracle for Execution<'_, T> {
 
     fn query(&mut self, from: usize, port: Port) -> Result<NodeView, QueryError> {
         // The tracer observes every issued query, answered or refused;
-        // hooks never feed back into the execution, so the traced and
+        // events never feed back into the execution, so the traced and
         // untraced instantiations take identical decision paths.
-        self.tracer.query_issued(from, port.number());
+        self.tracer.on(TraceEvent::QueryIssued {
+            from,
+            port: port.number(),
+        });
         // Out-of-range handles are "never visited", not index panics —
         // algorithms may probe arbitrary handles.
         if from >= self.inst.n() {
@@ -563,10 +566,13 @@ impl<T: Tracer> Oracle for Execution<'_, T> {
                 }
             }
             sc.mark_visited(target, d);
-            self.tracer.node_revealed(target, d);
+            self.tracer.on(TraceEvent::NodeRevealed {
+                node: target,
+                depth: d,
+            });
             if d > self.distance_upper {
                 self.distance_upper = d;
-                self.tracer.frontier_advanced(d);
+                self.tracer.on(TraceEvent::FrontierAdvanced { depth: d });
             }
         }
         self.queries += 1;

@@ -1,5 +1,5 @@
 //! Integration: the typed event stream an [`Execution`] emits matches the
-//! §2.2 semantics hook for hook — one `QueryIssued` per oracle step
+//! §2.2 semantics event for event — one `QueryIssued` per oracle step
 //! (answered or refused), a `NodeRevealed` exactly when `V_v` grows, a
 //! `FrontierAdvanced` exactly when the discovery depth sets a new record,
 //! and one `AnswerFinalized` per run carrying the final costs.

@@ -2,10 +2,13 @@
 //!
 //! Events mirror the observable transitions of the §2.2 query model (a
 //! query leaves the algorithm, a node joins `V_v`, the frontier deepens,
-//! the answer is fixed) plus the scheduling transitions of the sharded
-//! engine (a chunk of start nodes is claimed, timed and merged). They
-//! carry only primitive data so the crate stays below `vc-model` in the
-//! dependency graph.
+//! the answer is fixed), the scheduling transitions of the sharded engine
+//! (a chunk of start nodes is claimed, timed and merged), and the
+//! supervision transitions of `vc-fleet` and `vc-serve`. Emitters build
+//! an event at the call site and pass it to [`crate::Tracer::on`]. Events
+//! carry only primitive data, so the crate stays below `vc-model` in the
+//! dependency graph and an event handed to an empty, inlined `on` is
+//! dead code.
 
 use std::fmt;
 
@@ -235,74 +238,79 @@ impl fmt::Display for TraceEvent {
     }
 }
 
+/// One instance of every [`TraceEvent`] variant, in declaration order.
+#[cfg(test)]
+pub(crate) fn one_of_each() -> [TraceEvent; 18] {
+    [
+        TraceEvent::QueryIssued { from: 3, port: 1 },
+        TraceEvent::NodeRevealed { node: 4, depth: 2 },
+        TraceEvent::FrontierAdvanced { depth: 2 },
+        TraceEvent::AnswerFinalized {
+            root: 3,
+            volume: 5,
+            distance_upper: 2,
+            queries: 7,
+            completed: true,
+        },
+        TraceEvent::ChunkPlanned {
+            chunks: 2,
+            chunk_size: 64,
+        },
+        TraceEvent::PartitionRestricted {
+            lo: 0,
+            hi: 1,
+            total: 2,
+        },
+        TraceEvent::ChunkClaimed {
+            chunk: 0,
+            starts: 64,
+        },
+        TraceEvent::ChunkTimed {
+            chunk: 0,
+            nanos: 12,
+        },
+        TraceEvent::ChunkMerged { chunk: 0 },
+        TraceEvent::ChunkRetried {
+            chunk: 0,
+            attempt: 1,
+        },
+        TraceEvent::ChunkAborted { chunk: 0 },
+        TraceEvent::WorkerSuspected {
+            worker: 1,
+            completed: 2,
+            assigned: 3,
+        },
+        TraceEvent::ChunkReassigned {
+            chunk: 2,
+            attempt: 2,
+        },
+        TraceEvent::PartialSplice {
+            merged: 5,
+            missing: 1,
+        },
+        TraceEvent::JobAdmitted {
+            job: 1,
+            queue_depth: 2,
+        },
+        TraceEvent::CacheHit { job: 1 },
+        TraceEvent::JobPreempted {
+            job: 1,
+            completed_chunks: 3,
+        },
+        TraceEvent::JobResumed {
+            job: 1,
+            completed_chunks: 3,
+        },
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn events_display() {
-        let events = [
-            TraceEvent::QueryIssued { from: 3, port: 1 },
-            TraceEvent::NodeRevealed { node: 4, depth: 2 },
-            TraceEvent::FrontierAdvanced { depth: 2 },
-            TraceEvent::AnswerFinalized {
-                root: 3,
-                volume: 5,
-                distance_upper: 2,
-                queries: 7,
-                completed: true,
-            },
-            TraceEvent::ChunkPlanned {
-                chunks: 2,
-                chunk_size: 64,
-            },
-            TraceEvent::PartitionRestricted {
-                lo: 0,
-                hi: 1,
-                total: 2,
-            },
-            TraceEvent::ChunkClaimed {
-                chunk: 0,
-                starts: 64,
-            },
-            TraceEvent::ChunkTimed {
-                chunk: 0,
-                nanos: 12,
-            },
-            TraceEvent::ChunkMerged { chunk: 0 },
-            TraceEvent::ChunkRetried {
-                chunk: 0,
-                attempt: 1,
-            },
-            TraceEvent::ChunkAborted { chunk: 0 },
-            TraceEvent::WorkerSuspected {
-                worker: 1,
-                completed: 2,
-                assigned: 3,
-            },
-            TraceEvent::ChunkReassigned {
-                chunk: 2,
-                attempt: 2,
-            },
-            TraceEvent::PartialSplice {
-                merged: 5,
-                missing: 1,
-            },
-            TraceEvent::JobAdmitted {
-                job: 1,
-                queue_depth: 2,
-            },
-            TraceEvent::CacheHit { job: 1 },
-            TraceEvent::JobPreempted {
-                job: 1,
-                completed_chunks: 3,
-            },
-            TraceEvent::JobResumed {
-                job: 1,
-                completed_chunks: 3,
-            },
-        ];
-        for e in events {
+        for e in one_of_each() {
             assert!(!e.to_string().is_empty());
         }
     }

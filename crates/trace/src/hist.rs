@@ -117,9 +117,12 @@ impl Log2Hist {
         self.counts.get(bucket).copied().unwrap_or(0)
     }
 
-    /// An upper bound on the `q`-quantile (`0.0 ..= 1.0`): the exclusive
-    /// upper edge of the first bucket whose cumulative count reaches
-    /// `ceil(q * count)`. Returns 0 for an empty histogram.
+    /// An upper bound on the `q`-quantile (`0.0 ..= 1.0`): the inclusive
+    /// upper edge (the largest value it holds) of the first bucket whose
+    /// cumulative count reaches `ceil(q * count)`. Never below [`max`]
+    /// at `q = 1.0`. Returns 0 for an empty histogram.
+    ///
+    /// [`max`]: Log2Hist::max
     pub fn quantile_upper(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -130,9 +133,10 @@ impl Log2Hist {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= target {
-                // The inclusive upper edge of bucket i.
-                let (lo, hi) = Self::bucket_range(i);
-                return if i == 0 { lo } else { hi - 1 };
+                // `bucket_range` is half-open except for the top bucket,
+                // whose saturated edge `u64::MAX` is itself a member.
+                let (_, hi) = Self::bucket_range(i);
+                return if i + 1 == BUCKETS { u64::MAX } else { hi - 1 };
             }
         }
         self.max
@@ -221,5 +225,9 @@ mod tests {
         let mut zeros = Log2Hist::new();
         zeros.observe(0);
         assert_eq!(zeros.quantile_upper(0.5), 0);
+        // The top bucket [2^63, u64::MAX] includes its saturated edge.
+        let mut top = Log2Hist::new();
+        top.observe(u64::MAX);
+        assert_eq!(top.quantile_upper(1.0), u64::MAX);
     }
 }

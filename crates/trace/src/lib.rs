@@ -6,11 +6,13 @@
 //!
 //! Two constraints shape the whole crate:
 //!
-//! 1. **Zero cost when disabled.** The [`Tracer`] trait has empty default
-//!    hooks and the [`NoopTracer`] is a zero-sized type, so the untraced
-//!    execution path (`vc-model`'s `run_from_with` instantiated with
-//!    [`NoopTracer`]) monomorphizes every hook to nothing — the hot loop
-//!    compiles to the same code it had before tracing existed.
+//! 1. **Zero cost when disabled.** The [`Tracer`] trait has a single
+//!    hook, `on(TraceEvent)`, with an empty inlined default, and the
+//!    [`NoopTracer`] is a zero-sized type. Events carry only primitives,
+//!    so on the untraced execution path (`vc-model`'s `run_from_with`
+//!    instantiated with [`NoopTracer`]) both the call and the event's
+//!    construction are dead code — the hot loop compiles to the same
+//!    code it had before tracing existed.
 //! 2. **Determinism under sharding.** The aggregating tracer
 //!    ([`SweepMetrics`]) keeps purely integral state — counters and
 //!    log2-bucketed histograms — and merges like `CostAccumulator` in
@@ -29,7 +31,7 @@
 //!
 //! * [`event`] — the typed [`event::TraceEvent`] stream a query-model
 //!   execution can emit.
-//! * [`tracer`] — the [`Tracer`] hook trait, the disabled [`NoopTracer`],
+//! * [`tracer`] — the one-hook [`Tracer`] trait, the disabled [`NoopTracer`],
 //!   the event-log [`RecordingTracer`] and the mergeable [`MergeTracer`]
 //!   extension the sharded engine requires.
 //! * [`hist`] — [`Log2Hist`], the fixed-shape power-of-two histogram
@@ -53,6 +55,6 @@ pub mod tracer;
 
 pub use event::TraceEvent;
 pub use hist::Log2Hist;
-pub use metrics::{FleetStats, QueryStats, SchedStats, SweepMetrics};
+pub use metrics::{QueryStats, SchedStats, SweepMetrics};
 pub use report::{CaseTrace, TraceReport, TRACE_REPORT_SCHEMA};
 pub use tracer::{MergeTracer, NoopTracer, RecordingTracer, Tracer};

@@ -153,19 +153,45 @@ impl TraceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::TraceEvent;
     use crate::tracer::Tracer;
 
     fn sample_case() -> CaseTrace {
         let mut metrics = SweepMetrics::new();
-        metrics.chunk_planned(1, 64);
-        metrics.chunk_claimed(0, 2);
-        metrics.query_issued(0, 1);
-        metrics.node_revealed(1, 1);
-        metrics.frontier_advanced(1);
-        metrics.answer_finalized(0, 2, 1, 1, true);
-        metrics.answer_finalized(1, 1, 0, 0, false);
-        metrics.chunk_timed(0, 1234);
-        metrics.chunk_merged(0);
+        for ev in [
+            TraceEvent::ChunkPlanned {
+                chunks: 1,
+                chunk_size: 64,
+            },
+            TraceEvent::ChunkClaimed {
+                chunk: 0,
+                starts: 2,
+            },
+            TraceEvent::QueryIssued { from: 0, port: 1 },
+            TraceEvent::NodeRevealed { node: 1, depth: 1 },
+            TraceEvent::FrontierAdvanced { depth: 1 },
+            TraceEvent::AnswerFinalized {
+                root: 0,
+                volume: 2,
+                distance_upper: 1,
+                queries: 1,
+                completed: true,
+            },
+            TraceEvent::AnswerFinalized {
+                root: 1,
+                volume: 1,
+                distance_upper: 0,
+                queries: 0,
+                completed: false,
+            },
+            TraceEvent::ChunkTimed {
+                chunk: 0,
+                nanos: 1234,
+            },
+            TraceEvent::ChunkMerged { chunk: 0 },
+        ] {
+            metrics.on(ev);
+        }
         CaseTrace {
             case: "toy/case".to_string(),
             n: 2,

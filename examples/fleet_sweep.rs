@@ -44,7 +44,7 @@ use vc_fleet::{
 };
 use vc_graph::{gen, load_instance, save_instance};
 use vc_model::run::RunConfig;
-use vc_trace::SweepMetrics;
+use vc_trace::{RecordingTracer, TraceEvent};
 
 /// Worker processes in the fleet.
 const WORKERS: usize = 4;
@@ -263,11 +263,11 @@ fn run_drill(
     num_chunks: usize,
     part_dir: &Path,
     serial_bytes: &[u8],
-) -> (FleetOutcome, SweepMetrics) {
+) -> (FleetOutcome, RecordingTracer) {
     std::fs::create_dir_all(part_dir).expect("part dir is writable");
-    let mut metrics = SweepMetrics::default();
+    let mut trace = RecordingTracer::new();
     let outcome = Supervisor::new(drill_config())
-        .run(backend, num_chunks, part_dir, &mut metrics)
+        .run(backend, num_chunks, part_dir, &mut trace)
         .unwrap_or_else(|e| panic!("{label}: supervisor failed: {e}"));
     assert!(
         outcome.missing.is_empty(),
@@ -282,7 +282,7 @@ fn run_drill(
         merged_bytes == serial_bytes,
         "{label}: fleet merge must be byte-identical to the serial checkpoint"
     );
-    (outcome, metrics)
+    (outcome, trace)
 }
 
 fn run_coordinator() {
@@ -352,7 +352,7 @@ fn run_coordinator() {
         }
         let label = format!("chaos-{seed}");
         let chaos_dir = dir.join(&label);
-        let (outcome, metrics) =
+        let (outcome, trace) =
             run_drill(&label, &mut backend, num_chunks, &chaos_dir, &serial_bytes);
         // The report must account for every injected death: each victim
         // slot shows a suspicion or a failed exit, and chunks really
@@ -374,10 +374,14 @@ fn run_coordinator() {
             outcome.report.reassigned > 0,
             "{label}: every victim dies mid-slice, so chunks must be reassigned"
         );
+        let traced_reassignments = trace
+            .events
+            .iter()
+            .filter(|ev| matches!(ev, TraceEvent::ChunkReassigned { .. }))
+            .count();
         assert_eq!(
-            metrics.fleet.chunks_reassigned,
-            u64::from(outcome.report.reassigned),
-            "{label}: trace metrics and report must agree"
+            traced_reassignments, outcome.report.reassigned as usize,
+            "{label}: trace and report must agree"
         );
         println!(
             "{label} OK: victims {victims:?} ({}), {} reassignment(s), byte-identical merge",

@@ -67,6 +67,13 @@ run_tests() {
 
     step "cargo test -q" cargo test -q
 
+    # The benchmark package (vcbench/) has its own lockfile and is not a
+    # workspace member, so nothing above compiles it. Building it here
+    # catches an API change that breaks the benchmark, and --locked
+    # fails if a dependency change would rewrite vcbench/Cargo.lock.
+    step "cargo build vcbench (locked)" \
+        cargo build --release --offline --locked --manifest-path vcbench/Cargo.toml
+
     # The property suites are feature-gated out of the plain run above;
     # the fast-gate only lints them, so run them here.
     step "cargo test --features proptest -p vc-bench" \

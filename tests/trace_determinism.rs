@@ -4,7 +4,7 @@
 //!
 //! * **Tracer transparency** — a traced sweep produces byte-identical
 //!   outputs, execution records and cost summaries to the untraced engine
-//!   and to the serial `vc-model` runner. Tracer hooks observe the query
+//!   and to the serial `vc-model` runner. The tracer observes the query
 //!   stream but cannot influence it (DESIGN.md §10).
 //! * **Merged-metrics determinism** — the deterministic half of
 //!   `SweepMetrics` (`metrics.query`: counters and the volume / distance /
@@ -20,7 +20,7 @@ use vc_engine::Engine;
 use vc_graph::{gen, Color, Instance};
 use vc_model::run::{run_all, run_all_traced, QueryAlgorithm, RunConfig, StartSelection};
 use vc_model::{Budget, RandomTape};
-use vc_trace::{QueryStats, RecordingTracer, SweepMetrics, TraceEvent};
+use vc_trace::{QueryStats, RecordingTracer, SweepMetrics, TraceEvent, Tracer};
 
 /// Runs one case through the serial runner, the untraced engine and the
 /// traced engine at 1/2/8 threads, asserting transparency and metric
@@ -72,6 +72,20 @@ where
             traced.summary,
             serial.summary(),
             "{name}: traced summary differs from the serial runner"
+        );
+        // `SweepMetrics` is a pure fold of the stream `RecordingTracer`
+        // keeps. The recorder is untimed (no `ChunkTimed`), so only the
+        // deterministic half is compared.
+        let (_, recorded) = Engine::with_threads(threads)
+            .run_all_traced::<A, RecordingTracer>(inst, algo, config)
+            .expect("valid start selection");
+        let mut replayed = SweepMetrics::new();
+        for ev in recorded.events {
+            replayed.on(ev);
+        }
+        assert_eq!(
+            replayed.query, metrics.query,
+            "{name}: replayed event log disagrees with the metrics at {threads} threads"
         );
         match &reference {
             None => reference = Some(metrics.query),
