@@ -7,8 +7,8 @@
 //!
 //! Volume and distance are *combinatorial* quantities (Definitions 2.1–2.2)
 //! measured exactly by the query-model runner — the experiments do not
-//! depend on wall-clock noise. Wall-clock performance of the solvers
-//! themselves is measured separately by the `criterion_suite` bench.
+//! depend on wall-clock noise. Wall-clock performance of the layers under
+//! them is measured separately by the `vcbench` harness (`vcbench/`).
 
 use vc_core::lcl::{count_violations, Lcl};
 use vc_engine::Engine;

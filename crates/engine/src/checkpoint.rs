@@ -60,7 +60,7 @@ pub enum EngineError {
     /// The configured start selection is invalid (same as the serial
     /// runner's error).
     Start(StartError),
-    /// The configured chunk range does not fit the sweep's chunk plan.
+    /// The configured chunk set does not fit the sweep's chunk plan.
     Partition(RangeError),
     /// Reading or writing the checkpoint file failed.
     Io(String),
@@ -113,9 +113,9 @@ pub struct SweepIdentity {
 /// *full* chunk plan — both the planned chunk size and the total chunk
 /// count of [`plan_chunks`]. The plan is folded whole so that every
 /// partition of a fleet run agrees on one identity: a
-/// [`ChunkRange`](crate::ChunkRange) restriction deliberately does *not*
-/// enter the id, which is what lets disjoint partial checkpoints splice
-/// into a file byte-identical to an unpartitioned run (DESIGN.md §15).
+/// [`ChunkSet`] restriction deliberately does *not* enter the id, which
+/// is what lets disjoint partial checkpoints splice into a file
+/// byte-identical to an unpartitioned run (DESIGN.md §15).
 /// Anything that can change a chunk's records is folded in here, and
 /// nowhere else — this is the single audited identity computation
 /// (DESIGN.md §12).
@@ -156,9 +156,8 @@ pub struct SweepCheckpoint {
     /// partial files are self-describing. `None` for unrestricted runs
     /// *and* for spliced merges, so the `partition` key is absent from
     /// full checkpoints and a merged file is byte-identical to a
-    /// single-process run's. Single-run sets display exactly like the
-    /// historical `ChunkRange` stamps, so range-partitioned files keep
-    /// their byte layout.
+    /// single-process run's. A one-run set displays as `lo..hi/total`,
+    /// the stamp layout of every range-partitioned file.
     pub partition: Option<ChunkSet>,
     /// Per-chunk completed records, in chunk order.
     pub chunks: Vec<Option<Vec<ExecutionRecord>>>,
@@ -455,16 +454,16 @@ impl Engine {
     /// Outputs are not checkpointed (see the module docs) — this entry
     /// point returns records and costs only.
     ///
-    /// Under [`Engine::with_chunk_range`] this is the fleet-worker entry
-    /// point: only the slice's chunks execute, the written file is
-    /// stamped with the slice ([`SweepCheckpoint::partition`]), and the
+    /// Under [`Engine::with_chunk_set`] this is the fleet-worker entry
+    /// point: only the set's chunks execute, the written file is
+    /// stamped with the set ([`SweepCheckpoint::partition`]), and the
     /// disjoint partials splice back into one full checkpoint with
     /// [`splice_checkpoints`](crate::splice_checkpoints).
     ///
     /// # Errors
     ///
     /// [`EngineError::Start`] for an invalid start selection,
-    /// [`EngineError::Partition`] for a chunk range that does not fit the
+    /// [`EngineError::Partition`] for a chunk set that does not fit the
     /// sweep's plan, [`EngineError::Io`] when the file cannot be read or
     /// written, and [`EngineError::BadCheckpoint`] when the file is
     /// malformed or was produced by a different sweep configuration.
@@ -629,6 +628,16 @@ mod tests {
         assert!(SweepCheckpoint::from_json("{\"schema\": \"nope/v1\"}").is_err());
         let mut ok = SweepCheckpoint::fresh(test_identity(1, 2), 1).to_json();
         assert!(SweepCheckpoint::from_json(&ok).is_ok());
+        // A hostile partition stamp naming the maximal chunk index is a
+        // typed error, not an overflow.
+        let stamped = ok.replacen(
+            "  \"num_chunks\"",
+            &format!("  \"partition\": \"{}/4\",\n  \"num_chunks\"", usize::MAX),
+            1,
+        );
+        let err = SweepCheckpoint::from_json(&stamped).unwrap_err();
+        assert!(err.contains("malformed partition"), "{err}");
+        assert!(err.contains("plan has 4 chunks"), "{err}");
         ok.truncate(ok.len() - 3);
         assert!(SweepCheckpoint::from_json(&ok).is_err());
     }

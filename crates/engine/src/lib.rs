@@ -113,7 +113,7 @@ pub use checkpoint::{
     sweep_identity, CheckpointReport, EngineError, SweepCheckpoint, SweepIdentity,
     CHECKPOINT_SCHEMA,
 };
-pub use partition::{ChunkRange, ChunkSet, RangeError, CHUNKS_ENV};
+pub use partition::{ChunkSet, RangeError, CHUNKS_ENV};
 pub use splice::{format_chunk_groups, splice_checkpoints, splice_partial, SpliceError};
 pub use vc_ident::{InstanceId, SweepId};
 
@@ -387,13 +387,6 @@ impl Engine {
         self
     }
 
-    /// Restricts the sweep to the chunks inside `range` — the worker side
-    /// of fleet execution (DESIGN.md §15). Shorthand for
-    /// [`Engine::with_chunk_set`] with a single contiguous run.
-    pub fn with_chunk_range(self, range: ChunkRange) -> Self {
-        self.with_chunk_set(range.into())
-    }
-
     /// Restricts the sweep to the chunks inside `set` — the worker side
     /// of fleet execution (DESIGN.md §15/§16). Claims walk the set's
     /// chunks in ascending order; chunks outside it land in
@@ -451,7 +444,7 @@ impl Engine {
     ///
     /// [`EngineError::Start`] when the configured start selection is
     /// invalid (same as the serial runner), [`EngineError::Partition`]
-    /// when a configured chunk range does not fit the sweep's plan.
+    /// when a configured chunk set does not fit the sweep's plan.
     pub fn run_all<A>(
         &self,
         inst: &Instance,
@@ -494,7 +487,7 @@ impl Engine {
     ///
     /// [`EngineError::Start`] when the configured start selection is
     /// invalid (same as the serial runner), [`EngineError::Partition`]
-    /// when a configured chunk range does not fit the sweep's plan.
+    /// when a configured chunk set does not fit the sweep's plan.
     pub fn run_all_traced<A, T>(
         &self,
         inst: &Instance,
@@ -646,7 +639,7 @@ struct ShardedRun<O, T> {
     aborted: Vec<usize>,
     /// Chunks never executed (deadline/quota/cancel), ascending.
     skipped: Vec<usize>,
-    /// Chunks outside the configured chunk range, ascending.
+    /// Chunks outside the configured chunk set, ascending.
     out_of_range: Vec<usize>,
     /// `(chunk, records)` for every chunk executed by *this* run,
     /// ascending. Built only on the checkpoint path (`done` given); the
@@ -923,13 +916,13 @@ where
         chunk_size: plan.chunk_size,
     });
     if let Some(set) = limits.set {
-        // One event per contiguous run: a single-range set announces
-        // itself exactly like the historical whole-slice partition.
-        for r in set.ranges() {
+        // One event per contiguous run, so a coordinator's one-run slice
+        // announces itself with a single event.
+        for &(lo, hi) in set.runs() {
             merged_tracer.on(TraceEvent::PartitionRestricted {
-                lo: r.lo(),
-                hi: r.hi(),
-                total: r.total(),
+                lo,
+                hi,
+                total: set.total(),
             });
         }
     }
@@ -1032,7 +1025,7 @@ pub struct EngineReport<O> {
     /// flag stopped the sweep first (ascending). Always a suffix of the
     /// claim window.
     pub skipped_chunks: Vec<usize>,
-    /// Chunks outside the configured [`ChunkRange`] (ascending; empty for
+    /// Chunks outside the configured [`ChunkSet`] (ascending; empty for
     /// unrestricted runs). These belong to *other* partitions of the same
     /// sweep and deliberately carry no outputs here, so — unlike aborts
     /// and skips — they do not mark the report degraded.
@@ -1428,7 +1421,7 @@ mod tests {
             .unwrap();
         for threads in [1, 2, 8] {
             let report = Engine::with_threads(threads)
-                .with_chunk_range(ChunkRange::parse("2..4/6").unwrap())
+                .with_chunk_set(ChunkSet::parse("2..4/6").unwrap())
                 .run_all(&inst, &WalkLeft, &config)
                 .unwrap();
             // A finished partition is healthy: nothing aborted, nothing
@@ -1460,7 +1453,7 @@ mod tests {
             .run_all(&inst, &WalkLeft, &config)
             .unwrap();
         let report = Engine::with_threads(2)
-            .with_chunk_range(ChunkRange::parse("2..5/6").unwrap())
+            .with_chunk_set(ChunkSet::parse("2..5/6").unwrap())
             .with_chunk_quota(1)
             .run_all(&inst, &WalkLeft, &config)
             .unwrap();
@@ -1530,7 +1523,7 @@ mod tests {
     fn mismatched_chunk_range_is_refused() {
         let inst = gen::random_full_binary_tree(333, 5); // 6 chunks
         let err = Engine::with_threads(2)
-            .with_chunk_range(ChunkRange::parse("0..4/8").unwrap())
+            .with_chunk_set(ChunkSet::parse("0..4/8").unwrap())
             .run_all(&inst, &WalkLeft, &RunConfig::default())
             .unwrap_err();
         assert_eq!(
@@ -1551,9 +1544,9 @@ mod tests {
             .unwrap();
         let total = plan_chunks(inst.n()).num_chunks;
         let mut merged: Vec<ExecutionRecord> = Vec::new();
-        for range in ChunkRange::split(total, 4) {
+        for set in ChunkSet::split(total, 4) {
             let part = Engine::with_threads(3)
-                .with_chunk_range(range)
+                .with_chunk_set(set)
                 .run_all(&inst, &WalkLeft, &config)
                 .unwrap();
             merged.extend(part.report.records);

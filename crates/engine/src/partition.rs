@@ -3,16 +3,17 @@
 //!
 //! The chunk plan ([`plan_chunks`](crate::plan_chunks)) is a pure function
 //! of the start count, so every process that agrees on the sweep inputs
-//! agrees on the partition boundaries. A [`ChunkRange`] names a half-open
-//! slice `lo..hi` of that *full* plan of `total` chunks — the spec syntax
-//! is `lo..hi/total`, e.g. `VC_CHUNKS=0..512/2048` — and the engine then
-//! claims only chunks inside the slice. A [`ChunkSet`] generalizes the
-//! range to any union of slices (`VC_CHUNKS=3..7,12/40`): this is the
-//! shape a supervisor reassigns when a dead worker's missing chunks are
-//! not contiguous. Because both carry the plan's total, a worker launched
-//! against the wrong sweep shape fails loudly
-//! ([`RangeError::PlanMismatch`]) instead of silently computing a
-//! different slice than the coordinator intended.
+//! agrees on the partition boundaries. A [`ChunkSet`] names any union of
+//! half-open slices `lo..hi` of that *full* plan of `total` chunks, and
+//! the engine then claims only chunks inside the set. The spec syntax is
+//! comma-separated runs or single chunk indices before `/total`: a
+//! coordinator's contiguous slice is `VC_CHUNKS=0..512/2048`
+//! ([`ChunkSet::split`] cuts those), and a supervisor reassigning a dead
+//! worker's non-contiguous missing chunks writes `VC_CHUNKS=3..7,12/40`.
+//! Because every set carries the plan's total, a worker launched against
+//! the wrong sweep shape fails loudly ([`RangeError::PlanMismatch`])
+//! instead of silently computing a different slice than the coordinator
+//! intended.
 //!
 //! The partition never enters the [`SweepId`](vc_ident::SweepId):
 //! identity covers the sweep (instance, algorithm, config, starts, full
@@ -27,13 +28,13 @@
 pub const CHUNKS_ENV: &str = "VC_CHUNKS";
 
 /// Strict integer component of a chunk spec: ASCII digits only — no
-/// sign, no whitespace, no empty string. Both parse paths
-/// ([`ChunkRange::parse`] and [`ChunkSet::parse`]) route every number
-/// through this one helper, so `VC_CHUNKS=" 0..4/8"` and `+0..4/8` are
-/// rejected identically instead of depending on which parser happens to
-/// see them. A partition spec names chunks for a fleet worker; anything
-/// that is not exactly the canonical [`Display`](std::fmt::Display) form
-/// is refused loudly rather than normalized.
+/// sign, no whitespace, no empty string. Every number of a spec (run
+/// bounds, bare indices and the total) goes through this one helper, so
+/// `VC_CHUNKS=" 0..4/8"` and `+0..4/8` are rejected like any other
+/// malformed spec. A partition spec names chunks for a fleet worker;
+/// anything that is not exactly the canonical
+/// [`Display`](std::fmt::Display) form is refused loudly rather than
+/// normalized.
 fn parse_component(s: &str) -> Option<usize> {
     if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
         return None;
@@ -41,17 +42,18 @@ fn parse_component(s: &str) -> Option<usize> {
     s.parse().ok()
 }
 
-/// A half-open slice `lo..hi` of a sweep's full chunk plan of `total`
-/// chunks. Construct with [`ChunkRange::new`] or [`ChunkRange::parse`];
-/// both enforce `lo <= hi <= total`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkRange {
-    lo: usize,
-    hi: usize,
-    total: usize,
+/// The one-chunk run `c..c+1`, checked later against the plan like any
+/// other run. `c = usize::MAX` (a hostile `VC_CHUNKS` or checkpoint
+/// stamp) has no such run and lies outside every plan, so it is a typed
+/// [`RangeError::BeyondTotal`] here rather than an overflow.
+fn single_chunk(c: usize, total: usize) -> Result<(usize, usize), RangeError> {
+    let hi = c
+        .checked_add(1)
+        .ok_or(RangeError::BeyondTotal { hi: c, total })?;
+    Ok((c, hi))
 }
 
-/// An unusable chunk-range specification. Always loud: a worker running
+/// An unusable chunk-set specification. Always loud: a worker running
 /// the wrong slice would poison the merged result, so nothing here is
 /// clamped or ignored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -108,142 +110,18 @@ impl std::fmt::Display for RangeError {
 
 impl std::error::Error for RangeError {}
 
-impl ChunkRange {
-    /// A validated range `lo..hi` over a plan of `total` chunks.
-    ///
-    /// # Errors
-    ///
-    /// [`RangeError::Inverted`] when `lo > hi`,
-    /// [`RangeError::BeyondTotal`] when `hi > total`.
-    pub fn new(lo: usize, hi: usize, total: usize) -> Result<Self, RangeError> {
-        if lo > hi {
-            return Err(RangeError::Inverted { lo, hi });
-        }
-        if hi > total {
-            return Err(RangeError::BeyondTotal { hi, total });
-        }
-        Ok(Self { lo, hi, total })
-    }
-
-    /// The unrestricted range covering a whole plan of `total` chunks.
-    pub fn full(total: usize) -> Self {
-        Self {
-            lo: 0,
-            hi: total,
-            total,
-        }
-    }
-
-    /// Parses a `lo..hi/total` spec (the `VC_CHUNKS` / `--chunks`
-    /// syntax). Parsing is strict: every component must be bare ASCII
-    /// digits, so whitespace anywhere (`" 0..4/8"`) and sign characters
-    /// (`"+0..4/8"`) are malformed rather than silently normalized.
-    ///
-    /// # Errors
-    ///
-    /// [`RangeError::Malformed`] for anything that is not three integers
-    /// in that shape, plus the [`ChunkRange::new`] validations.
-    pub fn parse(spec: &str) -> Result<Self, RangeError> {
-        let malformed = || RangeError::Malformed(spec.to_string());
-        let (range, total) = spec.split_once('/').ok_or_else(malformed)?;
-        let (lo, hi) = range.split_once("..").ok_or_else(malformed)?;
-        let parse = |s: &str| parse_component(s).ok_or_else(malformed);
-        Self::new(parse(lo)?, parse(hi)?, parse(total)?)
-    }
-
-    /// First chunk of the slice.
-    pub fn lo(&self) -> usize {
-        self.lo
-    }
-
-    /// Past-the-end chunk of the slice.
-    pub fn hi(&self) -> usize {
-        self.hi
-    }
-
-    /// Chunks in the full plan this range slices.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Chunks inside the slice.
-    pub fn len(&self) -> usize {
-        self.hi - self.lo
-    }
-
-    /// Whether the slice contains no chunks.
-    pub fn is_empty(&self) -> bool {
-        self.lo == self.hi
-    }
-
-    /// Whether `chunk` falls inside the slice.
-    pub fn contains(&self, chunk: usize) -> bool {
-        (self.lo..self.hi).contains(&chunk)
-    }
-
-    /// Whether this range covers its whole plan.
-    pub fn is_full(&self) -> bool {
-        self.lo == 0 && self.hi == self.total
-    }
-
-    /// Checks the range against the actual chunk count of a planned sweep.
-    ///
-    /// # Errors
-    ///
-    /// [`RangeError::PlanMismatch`] when the range's `total` is not
-    /// `num_chunks`: the partition was cut from a different plan.
-    pub fn check_plan(&self, num_chunks: usize) -> Result<(), RangeError> {
-        if self.total == num_chunks {
-            Ok(())
-        } else {
-            Err(RangeError::PlanMismatch {
-                total: self.total,
-                num_chunks,
-            })
-        }
-    }
-
-    /// Cuts a plan of `total` chunks into `parts` contiguous, disjoint,
-    /// jointly-covering ranges (the coordinator side of a fleet). Earlier
-    /// ranges get the remainder chunks, so part sizes differ by at most
-    /// one; with `parts > total`, trailing ranges are empty. `parts` is
-    /// clamped to at least 1.
-    pub fn split(total: usize, parts: usize) -> Vec<ChunkRange> {
-        let parts = parts.max(1);
-        let base = total / parts;
-        let rem = total % parts;
-        let mut out = Vec::with_capacity(parts);
-        let mut lo = 0;
-        for p in 0..parts {
-            let hi = lo + base + usize::from(p < rem);
-            out.push(Self { lo, hi, total });
-            lo = hi;
-        }
-        out
-    }
-}
-
-impl std::fmt::Display for ChunkRange {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}..{}/{}", self.lo, self.hi, self.total)
-    }
-}
-
-/// A sorted, disjoint set of chunks of a plan of `total` chunks: the
-/// reassignment-grade generalization of [`ChunkRange`]. Where a range
-/// names one contiguous slice, a set names any union of slices — exactly
-/// what a fleet supervisor hands a recovery worker when a dead worker's
-/// missing chunks are not contiguous. The spec syntax extends the range
-/// syntax: comma-separated items before the `/total`, each either a
-/// half-open run `lo..hi` or a single chunk index, e.g.
-/// `VC_CHUNKS=3..7,12/40`.
+/// A sorted, disjoint set of chunks of a plan of `total` chunks, stored
+/// as maximal half-open runs `lo..hi`. A coordinator's contiguous slice
+/// is a one-run set; a supervisor's reassignment of a dead worker's
+/// missing chunks may have several runs. See the module docs for the
+/// spec syntax.
 ///
 /// Sets are normalized on construction — runs sorted, overlapping or
 /// adjacent runs coalesced, empty runs dropped — so two specs naming the
-/// same chunks compare equal and display identically. A single-run set
-/// displays exactly like the equivalent [`ChunkRange`], which keeps the
-/// `partition` stamps of range-restricted checkpoints byte-compatible
-/// with the historical layout; the empty set displays as `0..0/total`.
+/// same chunks compare equal and display identically. A one-run set
+/// displays as `lo..hi/total`, the byte layout of every
+/// `partition` stamp ever written; the empty set displays as
+/// `0..0/total`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkSet {
     /// Sorted, disjoint, non-adjacent, non-empty half-open runs.
@@ -258,13 +136,18 @@ impl ChunkSet {
     ///
     /// # Errors
     ///
-    /// The [`ChunkRange::new`] validations, per run:
-    /// [`RangeError::Inverted`] and [`RangeError::BeyondTotal`].
+    /// Per run, in order: [`RangeError::Inverted`] when `lo > hi`,
+    /// [`RangeError::BeyondTotal`] when `hi > total`.
     pub fn from_runs(runs: &[(usize, usize)], total: usize) -> Result<Self, RangeError> {
         let mut keep = Vec::with_capacity(runs.len());
         for &(lo, hi) in runs {
-            let r = ChunkRange::new(lo, hi, total)?;
-            if !r.is_empty() {
+            if lo > hi {
+                return Err(RangeError::Inverted { lo, hi });
+            }
+            if hi > total {
+                return Err(RangeError::BeyondTotal { hi, total });
+            }
+            if lo < hi {
                 keep.push((lo, hi));
             }
         }
@@ -290,25 +173,53 @@ impl ChunkSet {
     ///
     /// [`RangeError::BeyondTotal`] when an index is outside the plan.
     pub fn from_chunks(chunks: &[usize], total: usize) -> Result<Self, RangeError> {
-        let runs: Vec<(usize, usize)> = chunks.iter().map(|&c| (c, c + 1)).collect();
+        let runs = chunks
+            .iter()
+            .map(|&c| single_chunk(c, total))
+            .collect::<Result<Vec<_>, _>>()?;
         Self::from_runs(&runs, total)
+    }
+
+    /// The set of the valid slice `lo..hi` (`lo <= hi <= total`).
+    fn slice(lo: usize, hi: usize, total: usize) -> Self {
+        let runs = if lo < hi { vec![(lo, hi)] } else { Vec::new() };
+        Self { runs, total }
     }
 
     /// The unrestricted set covering a whole plan of `total` chunks.
     pub fn full(total: usize) -> Self {
-        ChunkRange::full(total).into()
+        Self::slice(0, total, total)
     }
 
-    /// Parses an extended `VC_CHUNKS` spec: comma-separated runs and/or
-    /// single chunk indices, then `/total` — `0..512/2048`, `3..7,12/40`,
-    /// `12/40`. The plain [`ChunkRange`] syntax is a valid one-item set.
-    /// Parsing is as strict as the range path: bare ASCII digits only,
-    /// no whitespace around commas or components, no sign characters.
+    /// Cuts a plan of `total` chunks into `parts` contiguous, disjoint,
+    /// jointly-covering one-run sets (the coordinator side of a fleet).
+    /// Earlier parts get the remainder chunks, so part sizes differ by at
+    /// most one; with `parts > total`, trailing parts are empty. `parts`
+    /// is clamped to at least 1.
+    pub fn split(total: usize, parts: usize) -> Vec<ChunkSet> {
+        let parts = parts.max(1);
+        let (base, rem) = (total / parts, total % parts);
+        let mut lo = 0;
+        (0..parts)
+            .map(|p| {
+                let hi = lo + base + usize::from(p < rem);
+                let part = Self::slice(lo, hi, total);
+                lo = hi;
+                part
+            })
+            .collect()
+    }
+
+    /// Parses a `VC_CHUNKS` spec: comma-separated runs and/or single
+    /// chunk indices, then `/total` — `0..512/2048`, `3..7,12/40`,
+    /// `12/40`. Parsing is strict: bare ASCII digits only, no whitespace
+    /// around commas or components, no sign characters.
     ///
     /// # Errors
     ///
     /// [`RangeError::Malformed`] for anything that is not that shape,
-    /// plus the per-run [`ChunkSet::from_runs`] validations.
+    /// plus the per-item [`ChunkSet::from_runs`] validations (a single
+    /// index `c` is the run `c..c+1`).
     pub fn parse(spec: &str) -> Result<Self, RangeError> {
         let malformed = || RangeError::Malformed(spec.to_string());
         let (items, total) = spec.split_once('/').ok_or_else(malformed)?;
@@ -320,10 +231,7 @@ impl ChunkSet {
                     parse_component(lo).ok_or_else(malformed)?,
                     parse_component(hi).ok_or_else(malformed)?,
                 ),
-                None => {
-                    let c = parse_component(item).ok_or_else(malformed)?;
-                    (c, c + 1)
-                }
+                None => single_chunk(parse_component(item).ok_or_else(malformed)?, total)?,
             };
             runs.push(run);
         }
@@ -372,32 +280,14 @@ impl ChunkSet {
         }
     }
 
-    /// The maximal contiguous runs of the set, ascending, as ranges over
-    /// the same plan.
-    pub fn ranges(&self) -> impl Iterator<Item = ChunkRange> + '_ {
-        let total = self.total;
-        self.runs
-            .iter()
-            .map(move |&(lo, hi)| ChunkRange { lo, hi, total })
+    /// The maximal contiguous runs `(lo, hi)` of the set, ascending.
+    pub fn runs(&self) -> &[(usize, usize)] {
+        &self.runs
     }
 
     /// Every chunk index in the set, ascending.
     pub fn chunks(&self) -> impl Iterator<Item = usize> + '_ {
         self.runs.iter().flat_map(|&(lo, hi)| lo..hi)
-    }
-}
-
-impl From<ChunkRange> for ChunkSet {
-    fn from(range: ChunkRange) -> Self {
-        let runs = if range.is_empty() {
-            Vec::new()
-        } else {
-            vec![(range.lo, range.hi)]
-        };
-        Self {
-            runs,
-            total: range.total,
-        }
     }
 }
 
@@ -422,110 +312,83 @@ mod tests {
 
     #[test]
     fn parse_round_trips_through_display() {
-        for spec in ["0..512/2048", "3..3/7", "0..0/0", "1..2/4"] {
-            let range = ChunkRange::parse(spec).unwrap();
-            assert_eq!(
-                ChunkRange::parse(&range.to_string()),
-                Ok(range),
-                "spec {spec:?}"
-            );
+        for spec in ["0..512/2048", "3..3/7", "0..0/0", "1..2/4", "3..7,12/40"] {
+            let set = ChunkSet::parse(spec).unwrap();
+            assert_eq!(ChunkSet::parse(&set.to_string()), Ok(set), "spec {spec:?}");
         }
-        let r = ChunkRange::parse("5..9/16").unwrap();
-        assert_eq!((r.lo(), r.hi(), r.total()), (5, 9, 16));
-        assert_eq!(r.len(), 4);
-        assert!(r.contains(5) && r.contains(8));
-        assert!(!r.contains(4) && !r.contains(9));
-        assert!(!r.is_full());
-        assert!(ChunkRange::full(16).is_full());
-    }
-
-    #[test]
-    fn malformed_specs_are_loud() {
-        for spec in ["", "0..4", "4/8", "0-4/8", "a..b/c", "0..4/8/2", "-1..4/8"] {
-            assert!(
-                matches!(ChunkRange::parse(spec), Err(RangeError::Malformed(_))),
-                "spec {spec:?}"
-            );
+        let s = ChunkSet::parse("5..9/16").unwrap();
+        assert_eq!((s.runs(), s.total()), (&[(5, 9)][..], 16));
+        assert_eq!(s.len(), 4);
+        assert!(s.contains(5) && s.contains(8));
+        assert!(!s.contains(4) && !s.contains(9));
+        assert!(!s.is_full());
+        // Partition stamps keep their bytes: a one-run set prints
+        // `lo..hi/total`, the empty set `0..0/total`.
+        for spec in ["0..512/2048", "2..4/6", "0..6/6"] {
+            assert_eq!(ChunkSet::parse(spec).unwrap().to_string(), spec);
         }
-        assert_eq!(
-            ChunkRange::parse("5..2/8"),
-            Err(RangeError::Inverted { lo: 5, hi: 2 })
-        );
-        assert_eq!(
-            ChunkRange::parse("0..9/8"),
-            Err(RangeError::BeyondTotal { hi: 9, total: 8 })
-        );
+        assert_eq!(ChunkSet::parse("3..3/7").unwrap().to_string(), "0..0/7");
+        assert_eq!(ChunkSet::full(6).to_string(), "0..6/6");
+        assert_eq!(ChunkSet::full(0).to_string(), "0..0/0");
+        assert!(ChunkSet::full(16).is_full());
+        assert!(ChunkSet::full(0).is_full());
+        assert_eq!(ChunkSet::parse("0..6/6"), Ok(ChunkSet::full(6)));
     }
 
     #[test]
     fn both_parse_paths_reject_signs_and_whitespace_identically() {
-        // Historically the two parsers trimmed differently, so
-        // `VC_CHUNKS=" 0..4/8"` parsed on one path and not the other.
-        // Strictness is now shared: digits only, and the typed error
-        // carries the offending spec verbatim.
+        // The two item forms — a run `lo..hi` and a bare index `c` — and
+        // the total share one strict component parser: digits only, and
+        // the typed error carries the offending spec verbatim.
         for spec in [
             " 0..4/8", "0..4/8 ", "0 ..4/8", "0.. 4/8", "0..4/ 8", "0..4 /8", "+0..4/8", "0..+4/8",
-            "0..4/+8", "\t0..4/8", "0..4/8\n",
+            "0..4/+8", "\t0..4/8", "0..4/8\n", " 4/8", "4 /8", "+4/8", "1,+4/8", "1, 4/8",
         ] {
-            assert_eq!(
-                ChunkRange::parse(spec),
-                Err(RangeError::Malformed(spec.to_string())),
-                "range spec {spec:?}"
-            );
             assert_eq!(
                 ChunkSet::parse(spec),
                 Err(RangeError::Malformed(spec.to_string())),
-                "set spec {spec:?}"
+                "spec {spec:?}"
             );
         }
-        // Edge cases both paths must agree on: empty, lo==hi (a valid
-        // empty slice), hi>total (typed, not malformed).
-        for parse in [
-            (|s: &str| ChunkRange::parse(s).map(ChunkSet::from)) as fn(&str) -> _,
-            ChunkSet::parse as fn(&str) -> _,
-        ] {
-            assert!(matches!(parse(""), Err(RangeError::Malformed(_))));
-            let empty = parse("3..3/7").unwrap();
-            assert!(empty.is_empty());
-            assert_eq!(empty.total(), 7);
+        // Edge cases: empty, lo==hi (a valid empty slice), hi>total or a
+        // bare index at the total (typed, not malformed).
+        assert!(matches!(ChunkSet::parse(""), Err(RangeError::Malformed(_))));
+        let empty = ChunkSet::parse("3..3/7").unwrap();
+        assert!(empty.is_empty());
+        assert_eq!(empty.total(), 7);
+        for spec in ["0..9/8", "8/8"] {
             assert_eq!(
-                parse("0..9/8"),
-                Err(RangeError::BeyondTotal { hi: 9, total: 8 })
+                ChunkSet::parse(spec),
+                Err(RangeError::BeyondTotal { hi: 9, total: 8 }),
+                "spec {spec:?}"
             );
         }
-    }
-
-    #[test]
-    fn plan_check_separates_sweep_shapes() {
-        let r = ChunkRange::parse("0..4/8").unwrap();
-        assert_eq!(r.check_plan(8), Ok(()));
-        assert_eq!(
-            r.check_plan(6),
-            Err(RangeError::PlanMismatch {
-                total: 8,
-                num_chunks: 6
-            })
-        );
     }
 
     #[test]
     fn split_is_a_disjoint_cover() {
         for (total, parts) in [(8, 4), (7, 3), (3, 5), (0, 2), (245, 16), (10, 1)] {
-            let ranges = ChunkRange::split(total, parts);
-            assert_eq!(ranges.len(), parts.max(1));
+            let sets = ChunkSet::split(total, parts);
+            assert_eq!(sets.len(), parts.max(1));
             let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.lo(), next, "total {total} parts {parts}");
-                assert_eq!(r.total(), total);
-                assert!(r.len() <= total.div_ceil(parts.max(1)));
-                next = r.hi();
+            for s in &sets {
+                assert_eq!(s.total(), total);
+                assert!(s.len() <= total.div_ceil(parts.max(1)));
+                match s.runs() {
+                    [] => {}
+                    &[(lo, hi)] => {
+                        assert_eq!(lo, next, "total {total} parts {parts}");
+                        next = hi;
+                    }
+                    runs => panic!("split produced a gappy part {runs:?}"),
+                }
             }
             assert_eq!(next, total, "total {total} parts {parts}");
         }
         // The remainder goes to the earliest parts.
-        let ranges = ChunkRange::split(7, 3);
+        let sets = ChunkSet::split(7, 3);
         assert_eq!(
-            ranges.iter().map(ChunkRange::len).collect::<Vec<_>>(),
+            sets.iter().map(ChunkSet::len).collect::<Vec<_>>(),
             vec![3, 2, 2]
         );
     }
@@ -542,9 +405,7 @@ mod tests {
         assert!(set.contains(3) && set.contains(6) && set.contains(12));
         assert!(!set.contains(2) && !set.contains(7) && !set.contains(13));
         assert!(!set.is_empty() && !set.is_full());
-        let runs: Vec<(usize, usize)> = set.ranges().map(|r| (r.lo(), r.hi())).collect();
-        assert_eq!(runs, vec![(3, 7), (12, 13)]);
-        assert!(set.ranges().all(|r| r.total() == 40));
+        assert_eq!(set.runs(), &[(3, 7), (12, 13)]);
     }
 
     #[test]
@@ -556,33 +417,28 @@ mod tests {
             ChunkSet::from_chunks(&[8], 8),
             Err(RangeError::BeyondTotal { hi: 9, total: 8 })
         );
-    }
-
-    #[test]
-    fn single_run_sets_display_like_the_equivalent_range() {
-        // Byte-compatibility of checkpoint partition stamps rests on this.
-        for spec in ["0..512/2048", "3..3/7", "2..4/6"] {
-            let range = ChunkRange::parse(spec).unwrap();
-            let set = ChunkSet::from(range);
-            if !range.is_empty() {
-                assert_eq!(set.to_string(), range.to_string(), "spec {spec:?}");
-            }
-            assert_eq!(set.len(), range.len());
-            assert_eq!(set.is_full(), range.is_full());
-        }
-        assert!(ChunkSet::full(6).is_full());
-        assert!(ChunkSet::full(0).is_full());
-        assert_eq!(ChunkSet::full(6).to_string(), "0..6/6");
+        assert_eq!(
+            ChunkSet::from_chunks(&[usize::MAX], 8),
+            Err(RangeError::BeyondTotal {
+                hi: usize::MAX,
+                total: 8
+            })
+        );
     }
 
     #[test]
     fn malformed_set_specs_are_loud() {
         for spec in [
             "",
+            "0..4",
             "3..7,12",
             "3..7,,12/40",
             "/40",
             "a,3/40",
+            "a..b/c",
+            "0-4/8",
+            "0..4/8/2",
+            "-1..4/8",
             "1..2/x",
             "3..7, 12/40",
             "+3..7/40",
@@ -600,8 +456,18 @@ mod tests {
             ChunkSet::parse("0..9/8"),
             Err(RangeError::BeyondTotal { hi: 9, total: 8 })
         );
+        // A bare maximal index must not overflow computing its run end.
         assert_eq!(
-            ChunkSet::parse("0..4/8").unwrap().check_plan(6),
+            ChunkSet::parse(&format!("{}/4", usize::MAX)),
+            Err(RangeError::BeyondTotal {
+                hi: usize::MAX,
+                total: 4
+            })
+        );
+        let set = ChunkSet::parse("0..4/8").unwrap();
+        assert_eq!(set.check_plan(8), Ok(()));
+        assert_eq!(
+            set.check_plan(6),
             Err(RangeError::PlanMismatch {
                 total: 8,
                 num_chunks: 6

@@ -32,7 +32,8 @@
 //!   number, capped), never of any time measurement — so the retry
 //!   *schedule* is reproducible even though wall-clock timings are not.
 //!
-//! The result: for any kill schedule, [`splice_partial`] over every
+//! The result: for any kill schedule,
+//! [`splice_partial`](vc_engine::splice_partial) over every
 //! part file the fleet wrote merges into a checkpoint byte-identical to
 //! an unbroken single-process run — the chaos drill in
 //! `examples/fleet_sweep.rs` machine-checks exactly this, and the

@@ -10,7 +10,7 @@
 use crate::report::{FleetReport, WorkerReport};
 use crate::{FleetConfig, FleetError, LaunchSpec, WorkerBackend, WorkerStatus};
 use std::path::{Path, PathBuf};
-use vc_engine::{splice_partial, ChunkRange, ChunkSet, SweepCheckpoint};
+use vc_engine::{splice_partial, ChunkSet, SweepCheckpoint};
 use vc_trace::time::Stopwatch;
 use vc_trace::{TraceEvent, Tracer};
 
@@ -146,13 +146,13 @@ impl Supervisor {
             })
         };
 
-        for (w, range) in ChunkRange::split(num_chunks, workers).iter().enumerate() {
-            if range.is_empty() {
+        for (w, slice) in ChunkSet::split(num_chunks, workers).into_iter().enumerate() {
+            if slice.is_empty() {
                 continue;
             }
             let path = part_dir.join(format!("part{w}.json"));
             active.push(start(
-                ChunkSet::from(*range),
+                slice,
                 w,
                 path,
                 &mut next_launch,

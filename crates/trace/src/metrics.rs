@@ -39,8 +39,9 @@ pub struct QueryStats {
     /// absorbed sweeps). Derived from the start count alone, so it is
     /// thread-invariant like every other field here.
     pub planned_chunk_size: u64,
-    /// Partition restrictions announced (one per range-restricted sweep;
-    /// 0 for unpartitioned sweeps). Absorbing every partition's metrics
+    /// Partition restrictions announced (one per run of a
+    /// chunk-set-restricted sweep, so one per coordinator slice; 0 for
+    /// unpartitioned sweeps). Absorbing every partition's metrics
     /// of an N-way fleet run sums this to N.
     pub partitions: u64,
     /// Chunks inside the announced partition slices (sums `hi - lo`

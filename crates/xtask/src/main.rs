@@ -20,7 +20,7 @@
 //! cannot do this).
 //!
 //! `cargo run -p xtask -- merge-checkpoints <out> <part>...` splices
-//! partial `vc-engine-checkpoint/v2` files written by range-restricted
+//! partial `vc-engine-checkpoint/v2` files written by set-restricted
 //! fleet workers (`VC_CHUNKS=lo..hi/total`) into the one complete
 //! checkpoint a single unpartitioned run would have written —
 //! byte-identical, via [`vc_engine::splice_checkpoints`]. Validation is

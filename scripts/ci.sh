@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh             # everything (the full pre-merge gate)
 #   scripts/ci.sh --quick     # tier-1 only: fmt -> build -> cargo test -q
-#   scripts/ci.sh fast-gate   # fmt + clippy + xtask lint + JSON documents
+#   scripts/ci.sh fast-gate   # fmt + clippy + rustdoc + xtask lint + JSON
+#                             # documents
 #   scripts/ci.sh tests       # test suites incl. the proptest-gated
 #                             # property suites, VC_THREADS=2 determinism,
 #                             # fault and fleet-splice suites
@@ -42,6 +43,11 @@ run_fast_gate() {
 
     step "cargo clippy --features proptest -p vc-bench" \
         cargo clippy --all-targets --features proptest -p vc-bench -- -D warnings
+
+    # Broken or private intra-doc links are errors, so a renamed or
+    # deleted item cannot leave a dangling doc reference behind.
+    step "cargo doc --no-deps --workspace (-D warnings)" \
+        env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
     # Lint gate: emit the machine-readable vc-lint-report/v1 document first
     # (so the artifact exists even when the gate fails — the findings also

@@ -1,5 +1,5 @@
 //! Integration contract of fleet execution (DESIGN.md §15–16): a sweep
-//! partitioned into disjoint `ChunkRange` slices — each run as its own
+//! partitioned into disjoint one-run `ChunkSet` slices — each run as its own
 //! checkpointed "worker" — must splice back into a checkpoint
 //! byte-identical to the unpartitioned run, for any worker thread count;
 //! every way a partition can be wrong (overlap, gap, foreign sweep,
@@ -9,8 +9,7 @@
 
 use vc_core::problems::leaf_coloring::DistanceSolver;
 use vc_engine::{
-    plan_chunks, splice_checkpoints, splice_partial, ChunkRange, ChunkSet, Engine, SpliceError,
-    SweepCheckpoint,
+    plan_chunks, splice_checkpoints, splice_partial, ChunkSet, Engine, SpliceError, SweepCheckpoint,
 };
 use vc_graph::gen;
 use vc_model::run::RunConfig;
@@ -23,18 +22,23 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Runs the slice `range` of the sweep as one fleet worker: a fresh
-/// checkpoint file, a range-restricted engine, and the partial read back
+/// The contiguous slice `lo..hi` of a plan of `total` chunks.
+fn slice(lo: usize, hi: usize, total: usize) -> ChunkSet {
+    ChunkSet::from_runs(&[(lo, hi)], total).expect("valid slice")
+}
+
+/// Runs the chunk set `set` of the sweep as one fleet worker: a fresh
+/// checkpoint file, a set-restricted engine, and the partial read back
 /// from disk exactly as `xtask merge-checkpoints` would read it.
 fn run_partition(
     inst: &vc_graph::Instance,
-    range: ChunkRange,
+    set: ChunkSet,
     threads: usize,
     path: &std::path::Path,
 ) -> SweepCheckpoint {
     let _ = std::fs::remove_file(path);
     Engine::with_threads(threads)
-        .with_chunk_range(range)
+        .with_chunk_set(set)
         .run_recorded_with_checkpoint(inst, &DistanceSolver, &RunConfig::default(), path)
         .expect("partition sweep runs");
     let src = std::fs::read_to_string(path).expect("partial checkpoint readable");
@@ -55,15 +59,15 @@ fn three_way_splice_is_byte_identical_to_serial_at_any_thread_count() {
     let serial_bytes = std::fs::read_to_string(&serial_path).expect("serial checkpoint readable");
 
     for threads in [1, 2, 8] {
-        let parts: Vec<SweepCheckpoint> = ChunkRange::split(num_chunks, 3)
+        let parts: Vec<SweepCheckpoint> = ChunkSet::split(num_chunks, 3)
             .into_iter()
             .enumerate()
-            .map(|(w, range)| {
+            .map(|(w, set)| {
                 let path = dir.join(format!("part-{threads}t-{w}.json"));
-                let part = run_partition(&inst, range, threads, &path);
+                let part = run_partition(&inst, set.clone(), threads, &path);
                 assert_eq!(
                     part.partition,
-                    Some(ChunkSet::from(range)),
+                    Some(set),
                     "the worker's file must be stamped with its slice"
                 );
                 part
@@ -95,9 +99,9 @@ fn single_partition_covering_the_plan_splices_to_the_serial_bytes() {
 
     // A full-range "partition" is stamped and complete; splicing the one
     // part drops the stamp and reproduces the serial bytes exactly.
-    let full = ChunkRange::full(num_chunks);
-    let part = run_partition(&inst, full, 2, &dir.join("full.json"));
-    assert_eq!(part.partition, Some(ChunkSet::from(full)));
+    let full = ChunkSet::full(num_chunks);
+    let part = run_partition(&inst, full.clone(), 2, &dir.join("full.json"));
+    assert_eq!(part.partition, Some(full));
     assert!(part.is_complete());
     let merged = splice_checkpoints(std::slice::from_ref(&part)).expect("one full part splices");
     assert_eq!(merged.partition, None);
@@ -114,15 +118,10 @@ fn overlapping_partitions_are_refused() {
     let dir = temp_dir("overlap");
 
     // 0..2 and 1..total genuinely both execute chunk 1.
-    let a = run_partition(
-        &inst,
-        ChunkRange::new(0, 2, num_chunks).unwrap(),
-        2,
-        &dir.join("a.json"),
-    );
+    let a = run_partition(&inst, slice(0, 2, num_chunks), 2, &dir.join("a.json"));
     let b = run_partition(
         &inst,
-        ChunkRange::new(1, num_chunks, num_chunks).unwrap(),
+        slice(1, num_chunks, num_chunks),
         2,
         &dir.join("b.json"),
     );
@@ -148,15 +147,10 @@ fn coverage_gaps_are_refused_loudly() {
 
     // Only the first and last chunk are supplied; everything between is a
     // gap the splice must enumerate.
-    let a = run_partition(
-        &inst,
-        ChunkRange::new(0, 1, num_chunks).unwrap(),
-        2,
-        &dir.join("a.json"),
-    );
+    let a = run_partition(&inst, slice(0, 1, num_chunks), 2, &dir.join("a.json"));
     let b = run_partition(
         &inst,
-        ChunkRange::new(num_chunks - 1, num_chunks, num_chunks).unwrap(),
+        slice(num_chunks - 1, num_chunks, num_chunks),
         2,
         &dir.join("b.json"),
     );
@@ -180,8 +174,8 @@ fn partials_of_different_sweeps_are_refused() {
     let num_chunks = plan_chunks(a_inst.n()).num_chunks;
     let dir = temp_dir("foreign");
 
-    let lo = ChunkRange::new(0, 1, num_chunks).unwrap();
-    let hi = ChunkRange::new(1, num_chunks, num_chunks).unwrap();
+    let lo = slice(0, 1, num_chunks);
+    let hi = slice(1, num_chunks, num_chunks);
     let a = run_partition(&a_inst, lo, 2, &dir.join("a.json"));
     let b = run_partition(&b_inst, hi, 2, &dir.join("b.json"));
     let err = splice_checkpoints(&[a, b]).expect_err("foreign sweeps must be refused");
@@ -200,20 +194,20 @@ fn partition_stamp_round_trips_and_is_validated_against_the_plan() {
     let num_chunks = plan_chunks(inst.n()).num_chunks;
     let dir = temp_dir("stamp");
 
-    let range = ChunkRange::new(1, 3, num_chunks).unwrap();
+    let set = slice(1, 3, num_chunks);
     let path = dir.join("part.json");
-    let part = run_partition(&inst, range, 2, &path);
-    assert_eq!(part.partition, Some(ChunkSet::from(range)));
+    let part = run_partition(&inst, set.clone(), 2, &path);
+    assert_eq!(part.partition, Some(set.clone()));
     // The stamp survives a JSON round trip bit for bit.
     let reread = SweepCheckpoint::from_json(&part.to_json()).expect("round trip parses");
-    assert_eq!(reread.partition, Some(ChunkSet::from(range)));
+    assert_eq!(reread.partition, Some(set.clone()));
     assert_eq!(reread.to_json(), part.to_json());
 
     // A stamp whose total disagrees with the file's own chunk count is a
     // corrupt file, not a mergeable partial.
     let src = std::fs::read_to_string(&path).expect("partial readable");
     let forged = src.replace(
-        &format!("\"partition\": \"{range}\""),
+        &format!("\"partition\": \"{set}\""),
         &format!("\"partition\": \"1..3/{}\"", num_chunks + 1),
     );
     assert_ne!(forged, src, "the forgery must actually edit the stamp");
@@ -242,16 +236,16 @@ fn resume_from_merged_partial_reaches_the_serial_bytes_at_any_thread_count() {
         .expect("serial sweep runs");
     let serial_bytes = std::fs::read_to_string(&serial_path).expect("serial checkpoint readable");
 
-    let slices = ChunkRange::split(num_chunks, 4);
+    let slices = ChunkSet::split(num_chunks, 4);
     let victims = [1usize, 3];
     for threads in [1usize, 2, 8] {
         let parts: Vec<SweepCheckpoint> = slices
             .iter()
             .enumerate()
-            .map(|(w, &range)| {
+            .map(|(w, set)| {
                 let path = dir.join(format!("part-{threads}t-{w}.json"));
                 let _ = std::fs::remove_file(&path);
-                let mut engine = Engine::with_threads(threads).with_chunk_range(range);
+                let mut engine = Engine::with_threads(threads).with_chunk_set(set.clone());
                 if victims.contains(&w) {
                     // The murder weapon: a one-chunk quota, so each victim
                     // leaves a valid partial covering a strict prefix of
@@ -280,7 +274,7 @@ fn resume_from_merged_partial_reaches_the_serial_bytes_at_any_thread_count() {
         let (merged, missing) = splice_partial(&parts).expect("partial splice merges survivors");
         let expected_missing: Vec<usize> = victims
             .iter()
-            .flat_map(|&w| slices[w].lo() + 1..slices[w].hi())
+            .flat_map(|&w| slices[w].chunks().skip(1))
             .collect();
         assert_eq!(
             missing, expected_missing,
@@ -320,28 +314,28 @@ fn resuming_a_killed_partition_completes_only_its_slice() {
     let inst = gen::random_full_binary_tree(777, 5);
     let num_chunks = plan_chunks(inst.n()).num_chunks;
     let dir = temp_dir("resume");
-    let range = ChunkRange::split(num_chunks, 4)[1];
+    let set = ChunkSet::split(num_chunks, 4).swap_remove(1);
     let path = dir.join("part.json");
     let _ = std::fs::remove_file(&path);
 
     let killed = Engine::with_threads(2)
-        .with_chunk_range(range)
+        .with_chunk_set(set.clone())
         .with_chunk_quota(1)
         .run_recorded_with_checkpoint(&inst, &DistanceSolver, &RunConfig::default(), &path)
         .expect("killed partition still writes its checkpoint");
     assert_eq!(killed.completed_chunks, 1, "the quota must bite first");
 
     let resumed = Engine::with_threads(2)
-        .with_chunk_range(range)
+        .with_chunk_set(set.clone())
         .run_recorded_with_checkpoint(&inst, &DistanceSolver, &RunConfig::default(), &path)
         .expect("resume of the slice runs");
-    assert_eq!(resumed.completed_chunks, range.len());
+    assert_eq!(resumed.completed_chunks, set.len());
     let part = SweepCheckpoint::from_json(&std::fs::read_to_string(&path).unwrap())
         .expect("resumed partial parses");
     for c in 0..num_chunks {
         assert_eq!(
             part.chunks[c].is_some(),
-            range.contains(c),
+            set.contains(c),
             "chunk {c} completion must match the slice"
         );
     }
