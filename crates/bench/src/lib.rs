@@ -11,12 +11,12 @@
 //! them is measured separately by the `vcbench` harness (`vcbench/`).
 
 use vc_core::lcl::{count_violations, Lcl};
-use vc_engine::Engine;
+use vc_engine::{Engine, EngineReport};
 use vc_graph::Instance;
 use vc_model::run::{run_from, QueryAlgorithm, RunConfig};
 use vc_model::{Budget, RandomTape, StartSelection};
 use vc_stats::fit::{fit_complexity, FitResult};
-use vc_trace::{CaseTrace, SweepMetrics};
+use vc_trace::{CaseTrace, MergeTracer, NoopTracer, SweepMetrics};
 
 /// One measured point of a sweep.
 #[derive(Clone, Debug)]
@@ -103,10 +103,8 @@ where
     A: QueryAlgorithm + Sync,
     A::Output: Send,
 {
-    let engine_report = Engine::from_env()
-        .expect("ambient VC_THREADS/VC_DEADLINE_MS must be valid")
-        .run_all(inst, algo, config)
-        .expect("sweep configs always select at least one start");
+    let engine = Engine::from_env().expect("ambient VC_THREADS/VC_DEADLINE_MS must be valid");
+    let (engine_report, NoopTracer) = complete_sweep(&engine, inst, algo, config);
     let violations = match (problem, engine_report.report.complete_outputs()) {
         (Some(p), Some(outputs)) => Some(count_violations(p, inst, &outputs)),
         _ => None,
@@ -137,11 +135,34 @@ where
     A: QueryAlgorithm + Sync,
     A::Output: Send,
 {
-    let engine_report = Engine::from_env()
-        .expect("ambient VC_THREADS/VC_DEADLINE_MS must be valid")
-        .run_all(inst, algo, config)
-        .expect("sweep configs always select at least one start");
+    let engine = Engine::from_env().expect("ambient VC_THREADS/VC_DEADLINE_MS must be valid");
+    let (engine_report, NoopTracer) = complete_sweep(&engine, inst, algo, config);
     finish_measurement(inst, algo, config, engine_report, extra_roots)
+}
+
+/// Runs the engine sweep behind a measurement or a trace case. Panics,
+/// naming the missing chunks, when the sweep is degraded: its costs cover
+/// only the chunks that ran, and a `VC_DEADLINE_MS=0` sweep measures none.
+fn complete_sweep<A, T>(
+    engine: &Engine,
+    inst: &Instance,
+    algo: &A,
+    config: &RunConfig,
+) -> (EngineReport<A::Output>, T)
+where
+    A: QueryAlgorithm + Sync,
+    A::Output: Send,
+    T: MergeTracer,
+{
+    let (report, tracer) = engine
+        .run_all_traced(inst, algo, config)
+        .expect("sweep configs always select at least one start");
+    assert!(
+        !report.degraded,
+        "degraded sweep cannot back a measurement: aborted chunks {:?}, skipped chunks {:?}",
+        report.aborted_chunks, report.skipped_chunks
+    );
+    (report, tracer)
 }
 
 /// Appends the serially-run `extra_roots` (the known-extremal initiating
@@ -151,7 +172,7 @@ fn finish_measurement<A>(
     inst: &Instance,
     algo: &A,
     config: &RunConfig,
-    engine_report: vc_engine::EngineReport<A::Output>,
+    engine_report: EngineReport<A::Output>,
     extra_roots: &[usize],
 ) -> Measurement
 where
@@ -187,7 +208,8 @@ where
 ///
 /// The deterministic half of the metrics (`metrics.query`) is identical
 /// for every engine thread count; throughput and `metrics.sched` are
-/// wall-clock observations that vary between runs.
+/// wall-clock observations that vary between runs. A degraded sweep
+/// panics, like a measurement's (see `complete_sweep`).
 pub fn trace_case<A>(
     engine: &Engine,
     case: &str,
@@ -204,9 +226,7 @@ where
         .starts(inst.n())
         .expect("sweep configs always select at least one start");
     let identity = vc_engine::sweep_identity(inst, algo, config, &starts);
-    let (report, metrics) = engine
-        .run_all_traced::<A, SweepMetrics>(inst, algo, config)
-        .expect("sweep configs always select at least one start");
+    let (report, metrics) = complete_sweep::<A, SweepMetrics>(engine, inst, algo, config);
     CaseTrace {
         case: case.to_string(),
         n: inst.n(),
@@ -308,6 +328,7 @@ pub fn format_series(series: &[(f64, f64)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use vc_core::problems::leaf_coloring::{DistanceSolver, LeafColoring};
     use vc_graph::gen;
 
@@ -335,6 +356,18 @@ mod tests {
             &sweep_config(inst.n(), None),
         );
         assert_eq!(m.violations, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "degraded sweep cannot back a measurement")]
+    fn degraded_sweeps_are_refused() {
+        let inst = gen::random_full_binary_tree(120, 1);
+        complete_sweep::<_, NoopTracer>(
+            &Engine::with_threads(1).with_deadline(Duration::ZERO),
+            &inst,
+            &DistanceSolver,
+            &sweep_config(inst.n(), None),
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! records are the product.
 
 use crate::partition::{ChunkSet, RangeError};
-use crate::{plan_chunks, run_sharded, Engine};
+use crate::{plan_chunks, Engine, SweepInputs};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 use vc_graph::Instance;
@@ -391,10 +391,10 @@ impl CheckpointReport {
     }
 }
 
-/// The incremental checkpoint writer behind
-/// [`Engine::with_live_checkpoint`]: after every completed chunk the
-/// updated partial checkpoint is rewritten to disk (write-then-rename, so
-/// a reader never sees a torn file). This is the progress heartbeat a
+/// The incremental checkpoint writer of chunk-restricted runs (see
+/// [`Engine::with_chunk_set`]): after every completed chunk the updated
+/// partial checkpoint is rewritten to disk (write-then-rename, so a
+/// reader never sees a torn file). This is the progress heartbeat a
 /// fleet supervisor observes — chunk-count deltas in the part file through
 /// the sanctioned clock — without any channel back into the sweep itself:
 /// the sink only *writes* state the sweep already produced, so liveness
@@ -455,9 +455,10 @@ impl Engine {
     /// point returns records and costs only.
     ///
     /// Under [`Engine::with_chunk_set`] this is the fleet-worker entry
-    /// point: only the set's chunks execute, the written file is
-    /// stamped with the set ([`SweepCheckpoint::partition`]), and the
-    /// disjoint partials splice back into one full checkpoint with
+    /// point: only the set's chunks execute; the written file is
+    /// stamped with the set ([`SweepCheckpoint::partition`]) and
+    /// rewritten after every completed chunk as a progress heartbeat; and
+    /// the disjoint partials splice back into one full checkpoint with
     /// [`splice_checkpoints`](crate::splice_checkpoints).
     ///
     /// # Errors
@@ -518,20 +519,21 @@ impl Engine {
         let done: Vec<bool> = ckpt.chunks.iter().map(Option::is_some).collect();
         // The file records the *writer's* restriction: a fleet worker's
         // partial is stamped with its chunk set, while unrestricted runs
-        // (and resumes) keep the historical no-partition layout.
+        // (and resumes) keep the historical no-partition layout. A stamped
+        // partial is a fleet part file, so it is also the worker's
+        // heartbeat and is committed after every chunk.
         ckpt.partition = self.chunk_set().cloned();
-        let sink = self
-            .live_checkpoint()
+        let sink = ckpt
+            .partition
+            .is_some()
             .then(|| LiveCheckpointSink::new(path, ckpt.clone()));
-        let run = run_sharded::<A, NoopTracer>(
+        let sweep = SweepInputs {
             inst,
             algo,
             config,
-            &starts,
-            self.limits(&sw, starts.len())?,
-            Some(&done),
-            sink.as_ref(),
-        );
+            starts: &starts,
+        };
+        let run = self.run_sharded::<A, NoopTracer>(&sw, &sweep, Some(&done), sink.as_ref())?;
         for (c, recs) in run.chunk_records {
             ckpt.chunks[c] = Some(recs);
         }
@@ -742,16 +744,21 @@ mod tests {
         let plain = Engine::with_threads(2)
             .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &plain_path)
             .unwrap();
+        // The full set is a one-part fleet run: it commits after every
+        // chunk, and only the partition stamp sets its file apart.
         let live = Engine::with_threads(2)
-            .with_live_checkpoint()
+            .with_chunk_set(ChunkSet::full(6))
             .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &live_path)
             .unwrap();
         // Live commits change how often the file is written, never what
         // the final bytes are.
         assert_eq!(live.records, plain.records);
+        let part = std::fs::read_to_string(&live_path).unwrap();
+        let stamp = "  \"partition\": \"0..6/6\",\n";
+        assert!(part.contains(stamp), "{part}");
         assert_eq!(
-            std::fs::read(&live_path).unwrap(),
-            std::fs::read(&plain_path).unwrap()
+            part.replacen(stamp, "", 1),
+            std::fs::read_to_string(&plain_path).unwrap()
         );
         // No temp file is left behind: every commit renamed into place.
         let mut tmp = live_path.as_os_str().to_owned();
@@ -826,18 +833,17 @@ mod tests {
             let sink =
                 LiveCheckpointSink::new(&path, SweepCheckpoint::fresh(identity, plan.num_chunks));
             let engine = Engine::with_threads(threads).with_chunk_set(set.clone());
-            let sw = Stopwatch::start();
+            let sweep = SweepInputs {
+                inst: &inst,
+                algo: &algo,
+                config: &config,
+                starts: &starts,
+            };
             let done = vec![false; plan.num_chunks];
             // A chunk committed twice trips the sink's debug assertion.
-            let run = run_sharded::<_, NoopTracer>(
-                &inst,
-                &algo,
-                &config,
-                &starts,
-                engine.limits(&sw, starts.len()).unwrap(),
-                Some(&done),
-                Some(&sink),
-            );
+            let run = engine
+                .run_sharded::<_, NoopTracer>(&Stopwatch::start(), &sweep, Some(&done), Some(&sink))
+                .unwrap();
             assert_eq!(run.aborted, vec![2]);
             // Every other claimed chunk was committed, in start order.
             let state = sink.state.into_inner().unwrap();
@@ -853,6 +859,63 @@ mod tests {
     }
 
     #[test]
+    fn restricted_runs_heartbeat_without_opt_in() {
+        /// [`WalkLeft`] that reads the part file when started from `root`.
+        struct PeekAtRoot {
+            root: usize,
+            path: PathBuf,
+            seen: Mutex<Option<std::io::Result<String>>>,
+        }
+
+        impl QueryAlgorithm for PeekAtRoot {
+            type Output = u32;
+
+            fn fallback(&self) -> u32 {
+                u32::MAX
+            }
+
+            fn run(&self, oracle: &mut dyn Oracle) -> Result<u32, QueryError> {
+                if oracle.root().node == self.root {
+                    *self.seen.lock().unwrap() = Some(std::fs::read_to_string(&self.path));
+                }
+                WalkLeft.run(oracle)
+            }
+        }
+
+        let inst = vc_graph::gen::random_full_binary_tree(333, 5); // 6 chunks
+        let config = RunConfig::default();
+        let chunk_size = plan_chunks(inst.n()).chunk_size;
+        for restricted in [true, false] {
+            let path = temp_path(&format!("heartbeat_{restricted}.json"));
+            let _ = std::fs::remove_file(&path);
+            // Chunk 2's first root: at one worker, chunks 0 and 1 are done.
+            let algo = PeekAtRoot {
+                root: 2 * chunk_size,
+                path: path.clone(),
+                seen: Mutex::new(None),
+            };
+            let mut engine = Engine::with_threads(1);
+            if restricted {
+                engine = engine.with_chunk_set(ChunkSet::parse("0..4/6").unwrap());
+            }
+            engine
+                .run_recorded_with_checkpoint(&inst, &algo, &config, &path)
+                .unwrap();
+            let seen = algo.seen.into_inner().unwrap().expect("chunk 2 ran");
+            if restricted {
+                let ckpt = SweepCheckpoint::from_json(&seen.unwrap()).unwrap();
+                let done: Vec<usize> = (0..ckpt.num_chunks)
+                    .filter(|&c| ckpt.chunks[c].is_some())
+                    .collect();
+                assert_eq!(done, vec![0, 1]);
+            } else {
+                // Unrestricted runs write the file once, at the end.
+                assert_eq!(seen.unwrap_err().kind(), std::io::ErrorKind::NotFound);
+            }
+        }
+    }
+
+    #[test]
     fn restricted_writers_stamp_their_chunk_set() {
         let inst = vc_graph::gen::random_full_binary_tree(333, 5); // 6 chunks
         let config = RunConfig::default();
@@ -861,7 +924,6 @@ mod tests {
         let set = ChunkSet::parse("1..3,5/6").unwrap();
         Engine::with_threads(2)
             .with_chunk_set(set.clone())
-            .with_live_checkpoint()
             .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
             .unwrap();
         let ckpt = SweepCheckpoint::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();

@@ -77,13 +77,13 @@
 //! identity — and chunks outside the configured set are reported in
 //! [`EngineReport::out_of_range_chunks`], distinct from the degradation
 //! ledgers: a partition worker that finishes its claim is healthy, not
-//! degraded. Under [`Engine::with_live_checkpoint`] (or
-//! `VC_LIVE_CHECKPOINT=1`) the partial file is rewritten atomically after
-//! every completed chunk, turning it into a progress heartbeat; when a
-//! worker dies anyway, [`splice_partial`] merges what exists and names
-//! the gap, so a supervisor (the `vc-fleet` crate) can reassign exactly
-//! the missing chunks. See `examples/fleet_sweep.rs` for the supervised
-//! drill (spawn, kill, reassign, merge).
+//! degraded. A chunk-restricted [`Engine::run_recorded_with_checkpoint`]
+//! rewrites its partial file atomically after every completed chunk,
+//! turning it into a progress heartbeat; when a worker dies anyway,
+//! [`splice_partial`] merges what exists and names the gap, so a
+//! supervisor (the `vc-fleet` crate) can reassign exactly the missing
+//! chunks. See `examples/fleet_sweep.rs` for the supervised drill (spawn,
+//! kill, reassign, merge).
 //!
 //! The worker count defaults to `std::thread::available_parallelism` and can
 //! be overridden with the `VC_THREADS` environment variable. Malformed
@@ -189,11 +189,6 @@ pub const THREADS_ENV: &str = "VC_THREADS";
 /// [`Engine::with_deadline`]).
 pub const DEADLINE_ENV: &str = "VC_DEADLINE_MS";
 
-/// Environment variable enabling incremental checkpoint writes (`0`/`1`;
-/// see [`Engine::with_live_checkpoint`]). Fleet supervisors set this on
-/// workers so part files double as progress heartbeats.
-pub const LIVE_CHECKPOINT_ENV: &str = "VC_LIVE_CHECKPOINT";
-
 /// Attempts per chunk: the first run plus one retry from a fresh scratch.
 /// Bounded so a deterministically-panicking chunk cannot spin forever.
 pub const MAX_CHUNK_ATTEMPTS: u32 = 2;
@@ -274,18 +269,10 @@ fn parse_deadline_ms(raw: &str) -> Result<Duration, EnvError> {
         })
 }
 
-/// Parses a `VC_LIVE_CHECKPOINT` value: exactly `0` or `1`. Anything
-/// fuzzier (`yes`, `on`, …) is refused so a typo cannot silently disable
-/// the heartbeat a supervisor depends on.
-fn parse_live_checkpoint(raw: &str) -> Result<bool, EnvError> {
-    match raw.trim() {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        other => Err(EnvError {
-            var: LIVE_CHECKPOINT_ENV,
-            message: format!("`{other}` is not `0` or `1`"),
-        }),
-    }
+/// The value of the ambient variable `var`, or `None` when it is unset,
+/// blank or not Unicode.
+fn ambient(var: &str) -> Option<String> {
+    std::env::var(var).ok().filter(|raw| !raw.trim().is_empty())
 }
 
 /// A sharded sweep runner with a fixed worker-thread count and optional
@@ -297,52 +284,39 @@ pub struct Engine {
     quota: Option<usize>,
     cancel: Option<CancelFlag>,
     set: Option<ChunkSet>,
-    live: bool,
 }
 
 impl Engine {
     /// An engine with the ambient configuration: worker count from the
     /// `VC_THREADS` environment variable when set to a positive integer
     /// (otherwise `std::thread::available_parallelism`, otherwise 1), a
-    /// cooperative deadline from `VC_DEADLINE_MS` when set, a chunk set
-    /// from `VC_CHUNKS=lo..hi/total` / `VC_CHUNKS=3..7,12/40` when set
-    /// (the fleet-worker path; see [`Engine::with_chunk_set`]), and
-    /// incremental checkpoint writes from `VC_LIVE_CHECKPOINT=1` (see
-    /// [`Engine::with_live_checkpoint`]). Unset or blank variables mean
-    /// "use the default"; anything else must parse.
+    /// cooperative deadline from `VC_DEADLINE_MS` when set, and a chunk
+    /// set from `VC_CHUNKS=lo..hi/total` / `VC_CHUNKS=3..7,12/40` when set
+    /// (the fleet-worker path; see [`Engine::with_chunk_set`]). Unset or
+    /// blank variables mean "use the default"; anything else must parse.
     ///
     /// # Errors
     ///
     /// [`EnvError`] when any variable is set to garbage
     /// (`VC_THREADS=0`, `VC_THREADS=abc`, `VC_DEADLINE_MS=1s`,
-    /// `VC_CHUNKS=512..0/2048`, `VC_LIVE_CHECKPOINT=yes`, …) — a startup
-    /// error, never a silently ignored override.
+    /// `VC_CHUNKS=512..0/2048`, …) — a startup error, never a silently
+    /// ignored override.
     pub fn from_env() -> Result<Self, EnvError> {
-        let threads = match std::env::var(THREADS_ENV) {
-            Ok(raw) if !raw.trim().is_empty() => parse_threads(&raw)?,
-            _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        };
-        let deadline = match std::env::var(DEADLINE_ENV) {
-            Ok(raw) if !raw.trim().is_empty() => Some(parse_deadline_ms(&raw)?),
-            _ => None,
-        };
-        let set = match std::env::var(CHUNKS_ENV) {
-            Ok(raw) if !raw.trim().is_empty() => {
-                Some(ChunkSet::parse(&raw).map_err(|e| EnvError {
+        let mut engine = Self::with_threads(match ambient(THREADS_ENV) {
+            Some(raw) => parse_threads(&raw)?,
+            None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        });
+        engine.deadline = ambient(DEADLINE_ENV)
+            .map(|raw| parse_deadline_ms(&raw))
+            .transpose()?;
+        engine.set = ambient(CHUNKS_ENV)
+            .map(|raw| {
+                ChunkSet::parse(&raw).map_err(|e| EnvError {
                     var: CHUNKS_ENV,
                     message: e.to_string(),
-                })?)
-            }
-            _ => None,
-        };
-        let live = match std::env::var(LIVE_CHECKPOINT_ENV) {
-            Ok(raw) if !raw.trim().is_empty() => parse_live_checkpoint(&raw)?,
-            _ => false,
-        };
-        let mut engine = Self::with_threads(threads);
-        engine.deadline = deadline;
-        engine.set = set;
-        engine.live = live;
+                })
+            })
+            .transpose()?;
         Ok(engine)
     }
 
@@ -355,7 +329,6 @@ impl Engine {
             quota: None,
             cancel: None,
             set: None,
-            live: false,
         }
     }
 
@@ -398,19 +371,14 @@ impl Engine {
     /// executes exactly the set's first `k` chunks. Supervisors use
     /// non-contiguous sets to reassign exactly a dead worker's missing
     /// chunks instead of a whole slice.
+    ///
+    /// A restricted [`Engine::run_recorded_with_checkpoint`] rewrites its
+    /// partial file (atomically, write-then-rename) after every completed
+    /// chunk instead of only at the end, so the part file doubles as the
+    /// progress heartbeat a fleet supervisor watches. This changes how
+    /// *often* the file is written, never what the final bytes are.
     pub fn with_chunk_set(mut self, set: ChunkSet) -> Self {
         self.set = Some(set);
-        self
-    }
-
-    /// Enables incremental checkpoint writes: during
-    /// [`Engine::run_recorded_with_checkpoint`] the partial file is
-    /// rewritten (atomically, write-then-rename) after every completed
-    /// chunk instead of only at the end. This turns part files into
-    /// progress heartbeats a fleet supervisor can watch; it changes how
-    /// *often* the file is written, never what the final bytes are.
-    pub fn with_live_checkpoint(mut self) -> Self {
-        self.live = true;
         self
     }
 
@@ -422,11 +390,6 @@ impl Engine {
     /// The configured chunk set, if any.
     pub fn chunk_set(&self) -> Option<&ChunkSet> {
         self.set.as_ref()
-    }
-
-    /// Whether incremental checkpoint writes are enabled.
-    pub fn live_checkpoint(&self) -> bool {
-        self.live
     }
 
     /// Runs `algo` from every selected start node of `inst`, sharding the
@@ -455,18 +418,8 @@ impl Engine {
         A: QueryAlgorithm + Sync,
         A::Output: Send,
     {
-        let sw = Stopwatch::start();
-        let starts = config.starts.starts(inst.n())?;
-        let run = run_sharded::<A, NoopTracer>(
-            inst,
-            algo,
-            config,
-            &starts,
-            self.limits(&sw, starts.len())?,
-            None,
-            None,
-        );
-        Ok(self.finish_report(run, sw).0)
+        self.run_all_traced::<A, NoopTracer>(inst, algo, config)
+            .map(|(report, _)| report)
     }
 
     /// [`Engine::run_all`] with a [`MergeTracer`] aggregated across the
@@ -501,103 +454,32 @@ impl Engine {
     {
         let sw = Stopwatch::start();
         let starts = config.starts.starts(inst.n())?;
-        let run = run_sharded::<A, T>(
+        let sweep = SweepInputs {
             inst,
             algo,
             config,
-            &starts,
-            self.limits(&sw, starts.len())?,
-            None,
-            None,
-        );
-        Ok(self.finish_report(run, sw))
-    }
-
-    /// The per-sweep limit set shared by all entry points.
-    ///
-    /// # Errors
-    ///
-    /// [`RangeError::PlanMismatch`] when a configured chunk set names a
-    /// different total than the sweep's plan — running the claim anyway
-    /// would partition a sweep the coordinator never cut.
-    fn limits<'a>(
-        &'a self,
-        sw: &'a Stopwatch,
-        num_starts: usize,
-    ) -> Result<SweepLimits<'a>, RangeError> {
-        let plan = plan_chunks(num_starts);
-        if let Some(set) = &self.set {
-            set.check_plan(plan.num_chunks)?;
-        }
-        // The claim sequence is the configured set's chunks in ascending
-        // order (the full plan when unrestricted), further clamped by the
-        // chunk quota — which counts within the sequence so a fleet worker
-        // can be "killed" after k of *its* chunks.
-        let claims: Vec<usize> = match &self.set {
-            Some(set) => set.chunks().collect(),
-            None => (0..plan.num_chunks).collect(),
+            starts: &starts,
         };
-        let claim_limit = self.quota.map_or(claims.len(), |q| q.min(claims.len()));
-        let workers = self.threads.min(claims.len().max(1));
-        Ok(SweepLimits {
-            sw,
-            deadline: self.deadline,
-            plan,
-            claims,
-            claim_limit,
-            set: self.set.as_ref(),
-            cancel: self.cancel.as_ref(),
-            workers,
-        })
+        let run = self.run_sharded::<A, T>(&sw, &sweep, None, None)?;
+        let report = EngineReport {
+            summary: run.acc.finish(),
+            total_queries: run.acc.total_queries(),
+            report: run.report,
+            threads: run.workers,
+            elapsed: sw.elapsed(),
+            degraded: !run.aborted.is_empty() || !run.skipped.is_empty(),
+            aborted_chunks: run.aborted,
+            skipped_chunks: run.skipped,
+            out_of_range_chunks: run.out_of_range,
+        };
+        Ok((report, run.tracer))
     }
 
-    /// Wraps a sharded outcome into an [`EngineReport`].
-    fn finish_report<O, T>(&self, run: ShardedRun<O, T>, sw: Stopwatch) -> (EngineReport<O>, T) {
-        let degraded = !run.aborted.is_empty() || !run.skipped.is_empty();
-        (
-            EngineReport {
-                summary: run.acc.finish(),
-                total_queries: run.acc.total_queries(),
-                report: run.report,
-                threads: run.workers,
-                elapsed: sw.elapsed(),
-                aborted_chunks: run.aborted,
-                skipped_chunks: run.skipped,
-                out_of_range_chunks: run.out_of_range,
-                degraded,
-            },
-            run.tracer,
-        )
-    }
-}
-
-/// The per-sweep limit set: deadline clock, chunk-claim sequence and
-/// cancel flag, all checked at chunk-claim boundaries.
-struct SweepLimits<'a> {
-    sw: &'a Stopwatch,
-    deadline: Option<Duration>,
-    /// The size-adaptive chunk partition of the start set.
-    plan: ChunkPlan,
-    /// The chunk indices this run may execute, ascending: the configured
-    /// set's chunks, or every planned chunk when unrestricted. Workers
-    /// claim positions in this sequence.
-    claims: Vec<usize>,
-    /// First *position* in `claims` workers must not claim
-    /// (quota-clamped).
-    claim_limit: usize,
-    /// The configured chunk set, for merge-time classification of
-    /// unclaimed chunks (outside the set ≠ degraded).
-    set: Option<&'a ChunkSet>,
-    cancel: Option<&'a CancelFlag>,
-    /// Worker threads after clamping to the claim-sequence length.
-    workers: usize,
-}
-
-impl SweepLimits<'_> {
-    /// Whether workers should stop claiming new chunks.
-    fn should_stop(&self) -> bool {
-        self.cancel.is_some_and(CancelFlag::is_cancelled)
-            || self.deadline.is_some_and(|d| self.sw.elapsed() >= d)
+    /// Whether workers should stop claiming new chunks: the cancel flag
+    /// is raised or the deadline, measured on `sw`, has passed.
+    fn should_stop(&self, sw: &Stopwatch) -> bool {
+        self.cancel.as_ref().is_some_and(CancelFlag::is_cancelled)
+            || self.deadline.is_some_and(|d| sw.elapsed() >= d)
     }
 }
 
@@ -737,7 +619,7 @@ where
 /// The claim side of one sweep, shared by every worker: the tasks in
 /// claim order (chunk by chunk, then start by start), each chunk's task
 /// index range, one result slot per task, the claim counter and — under a
-/// live checkpoint — each chunk's count of unfinished tasks.
+/// live checkpoint sink — each chunk's count of unfinished tasks.
 struct TaskBoard<O, T> {
     tasks: Vec<Task>,
     /// Chunk `c`'s task index range; empty for chunks outside the claim
@@ -750,17 +632,12 @@ struct TaskBoard<O, T> {
 }
 
 impl<O, T> TaskBoard<O, T> {
-    /// Cuts the claim window of `limits` into tasks of at most
-    /// [`TASK_STARTS`] starts. Chunks past the quota and chunks marked in
-    /// `done` get no tasks.
-    fn new(limits: &SweepLimits<'_>, num_starts: usize, done: Option<&[bool]>, live: bool) -> Self {
-        let plan = limits.plan;
+    /// Cuts the `admitted` chunks of `plan` into tasks of at most
+    /// [`TASK_STARTS`] starts, in the order given.
+    fn new(plan: ChunkPlan, admitted: &[usize], num_starts: usize, live: bool) -> Self {
         let mut tasks = Vec::new();
         let mut chunk_tasks = vec![0..0; plan.num_chunks];
-        for &c in &limits.claims[..limits.claim_limit] {
-            if done.is_some_and(|d| d[c]) {
-                continue;
-            }
+        for &c in admitted {
             let (lo, hi) = plan.bounds(c, num_starts);
             let first = tasks.len();
             tasks.extend((lo..hi).step_by(TASK_STARTS).map(|t| Task {
@@ -799,11 +676,11 @@ impl<O, T> TaskBoard<O, T> {
     /// always form a prefix that ends on a chunk boundary — every admitted
     /// chunk runs to completion and the skipped chunks are a suffix of the
     /// claim window.
-    fn claim(&self, limits: &SweepLimits<'_>) -> Option<(usize, Task)> {
+    fn claim(&self, engine: &Engine, sw: &Stopwatch) -> Option<(usize, Task)> {
         let mut i = self.next.load(Ordering::Relaxed);
         loop {
             let task = *self.tasks.get(i)?;
-            if i == self.chunk_tasks[task.chunk].start && limits.should_stop() {
+            if i == self.chunk_tasks[task.chunk].start && engine.should_stop(sw) {
                 return None;
             }
             match self
@@ -845,158 +722,180 @@ fn lock_slot<S>(slot: &Mutex<S>) -> MutexGuard<'_, S> {
     slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn run_sharded<A, T>(
-    inst: &Instance,
-    algo: &A,
-    config: &RunConfig,
-    starts: &[usize],
-    limits: SweepLimits<'_>,
-    done: Option<&[bool]>,
-    sink: Option<&LiveCheckpointSink>,
-) -> ShardedRun<A::Output, T>
-where
-    A: QueryAlgorithm + Sync,
-    A::Output: Send,
-    T: MergeTracer,
-{
-    let plan = limits.plan;
-    let num_chunks = plan.num_chunks;
-    let workers = limits.workers;
-    let sweep = SweepInputs {
-        inst,
-        algo,
-        config,
-        starts,
-    };
-
-    let board = TaskBoard::new(&limits, starts.len(), done, sink.is_some());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (board, limits, sweep) = (&board, &limits, &sweep);
-                s.spawn(move || {
-                    let mut scratch = ExecScratch::new();
-                    while let Some((i, task)) = board.claim(limits) {
-                        let outcome = run_task::<A, T>(sweep, task, &mut scratch);
-                        if let (Some(sink), Some(records)) = (sink, board.finish(i, outcome)) {
-                            // Live heartbeat: persist the completed chunk
-                            // into the partial checkpoint so a supervisor
-                            // can observe progress mid-run.
-                            sink.commit(task.chunk, records);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            // Workers only run task bodies inside `catch_unwind`; a join
-            // error means the harness itself failed, which must stay fatal.
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
+impl Engine {
+    /// Runs `sweep` on the engine's workers, skipping the chunks marked in
+    /// `done` and committing each completed chunk to `sink`, and merges
+    /// the results in chunk order, then task order.
+    ///
+    /// # Errors
+    ///
+    /// [`RangeError::PlanMismatch`] when the configured chunk set names a
+    /// different total than the sweep's plan — running the claim anyway
+    /// would partition a sweep the coordinator never cut. Nothing runs.
+    fn run_sharded<A, T>(
+        &self,
+        sw: &Stopwatch,
+        sweep: &SweepInputs<'_, A>,
+        done: Option<&[bool]>,
+        sink: Option<&LiveCheckpointSink>,
+    ) -> Result<ShardedRun<A::Output, T>, RangeError>
+    where
+        A: QueryAlgorithm + Sync,
+        A::Output: Send,
+        T: MergeTracer,
+    {
+        let SweepInputs { inst, starts, .. } = *sweep;
+        let plan = plan_chunks(starts.len());
+        let num_chunks = plan.num_chunks;
+        if let Some(set) = &self.set {
+            set.check_plan(num_chunks)?;
         }
-    });
-
-    // Merge in chunk order, then task order: chunks partition `starts`
-    // contiguously and tasks partition each chunk, so this reproduces the
-    // serial runner's start-order records exactly (modulo the gaps left by
-    // aborted/skipped/checkpointed chunks).
-    let mut slots = board
-        .slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner));
-    let mut outputs = vec![None; inst.n()];
-    let mut records = Vec::with_capacity(starts.len());
-    let mut total = CostAccumulator::default();
-    let mut merged_tracer = T::default();
-    // The plan is announced once, on the merged tracer (the merge loop is
-    // serial), so the event count and its arguments are thread-invariant.
-    merged_tracer.on(TraceEvent::ChunkPlanned {
-        chunks: num_chunks,
-        chunk_size: plan.chunk_size,
-    });
-    if let Some(set) = limits.set {
-        // One event per contiguous run, so a coordinator's one-run slice
-        // announces itself with a single event.
-        for &(lo, hi) in set.runs() {
-            merged_tracer.on(TraceEvent::PartitionRestricted {
-                lo,
-                hi,
-                total: set.total(),
-            });
-        }
-    }
-    let mut aborted = Vec::new();
-    let mut skipped = Vec::new();
-    let mut out_of_range = Vec::new();
-    let mut chunk_records = Vec::new();
-    for (c, range) in board.chunk_tasks.into_iter().enumerate() {
-        let (lo, hi) = plan.bounds(c, starts.len());
-        let claimed = TraceEvent::ChunkClaimed {
-            chunk: c,
-            starts: hi - lo,
+        // The claim sequence is the configured set's chunks in ascending
+        // order (the full plan when unrestricted), clamped by the chunk
+        // quota — which counts within the sequence so a fleet worker can be
+        // "killed" after k of *its* chunks. Chunks an earlier run
+        // checkpointed count against the quota but are not run again.
+        let claims: Vec<usize> = match &self.set {
+            Some(set) => set.chunks().collect(),
+            None => (0..num_chunks).collect(),
         };
-        let mut results = Vec::with_capacity(range.len());
-        let (mut any_aborted, mut any_unclaimed) = (false, range.is_empty());
-        for slot in slots.by_ref().take(range.len()) {
-            match slot {
-                TaskSlot::Done(result) => results.push(result),
-                TaskSlot::Aborted => any_aborted = true,
-                TaskSlot::Unclaimed => any_unclaimed = true,
-            }
-        }
-        if any_aborted {
-            // The aborted task's attempt tracers died with its attempts
-            // and the chunk's other tasks are discarded; account for the
-            // claim and the abort on the merged tracer, still in chunk
-            // order.
-            merged_tracer.on(claimed);
-            merged_tracer.on(TraceEvent::ChunkAborted { chunk: c });
-            aborted.push(c);
-        } else if !any_unclaimed {
-            // Claim and busy time are announced at merge, once per chunk,
-            // so the event stream is the same for every task schedule.
-            merged_tracer.on(claimed);
-            let first = records.len();
-            let mut nanos = 0u64;
-            for (outs, acc, tracer, busy) in results {
-                total.merge(&acc);
-                merged_tracer.absorb(tracer);
-                nanos = nanos.saturating_add(busy);
-                for (root, out, rec) in outs {
-                    outputs[root] = Some(out);
-                    records.push(rec);
+        let quota = self.quota.map_or(claims.len(), |q| q.min(claims.len()));
+        let admitted: Vec<usize> = claims[..quota]
+            .iter()
+            .copied()
+            .filter(|&c| !done.is_some_and(|d| d[c]))
+            .collect();
+        let workers = self.threads.min(claims.len().max(1));
+
+        let board = TaskBoard::new(plan, &admitted, starts.len(), sink.is_some());
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let board = &board;
+                    s.spawn(move || {
+                        let mut scratch = ExecScratch::new();
+                        while let Some((i, task)) = board.claim(self, sw) {
+                            let outcome = run_task::<A, T>(sweep, task, &mut scratch);
+                            if let (Some(sink), Some(records)) = (sink, board.finish(i, outcome)) {
+                                // Live heartbeat: persist the completed chunk
+                                // into the partial checkpoint so a supervisor
+                                // can observe progress mid-run.
+                                sink.commit(task.chunk, records);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for handle in handles {
+                // Workers only run task bodies inside `catch_unwind`; a join
+                // error means the harness itself failed, which must stay fatal.
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
                 }
             }
-            if T::TIMED {
-                merged_tracer.on(TraceEvent::ChunkTimed { chunk: c, nanos });
+        });
+
+        // Merge in chunk order, then task order: chunks partition `starts`
+        // contiguously and tasks partition each chunk, so this reproduces the
+        // serial runner's start-order records exactly (modulo the gaps left by
+        // aborted/skipped/checkpointed chunks).
+        let mut slots = board
+            .slots
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner));
+        let mut outputs = vec![None; inst.n()];
+        let mut records = Vec::with_capacity(starts.len());
+        let mut total = CostAccumulator::default();
+        let mut merged_tracer = T::default();
+        // The plan is announced once, on the merged tracer (the merge loop is
+        // serial), so the event count and its arguments are thread-invariant.
+        merged_tracer.on(TraceEvent::ChunkPlanned {
+            chunks: num_chunks,
+            chunk_size: plan.chunk_size,
+        });
+        if let Some(set) = &self.set {
+            // One event per contiguous run, so a coordinator's one-run slice
+            // announces itself with a single event.
+            for &(lo, hi) in set.runs() {
+                merged_tracer.on(TraceEvent::PartitionRestricted {
+                    lo,
+                    hi,
+                    total: set.total(),
+                });
             }
-            merged_tracer.on(TraceEvent::ChunkMerged { chunk: c });
-            if done.is_some() {
-                chunk_records.push((c, records[first..].to_vec()));
-            }
-        } else if done.is_some_and(|d| d[c]) {
-            // Checkpointed by an earlier run: nothing to merge.
-        } else if limits.set.is_some_and(|s| !s.contains(c)) {
-            // Another partition's work, deliberately left alone — not
-            // degradation.
-            out_of_range.push(c);
-        } else {
-            // Never admitted (deadline/quota/cancel): any tasks that did
-            // run are discarded, so no report or checkpoint holds half a
-            // chunk.
-            skipped.push(c);
         }
-    }
-    ShardedRun {
-        report: RunReport { outputs, records },
-        acc: total,
-        tracer: merged_tracer,
-        aborted,
-        skipped,
-        out_of_range,
-        chunk_records,
-        workers,
+        let mut aborted = Vec::new();
+        let mut skipped = Vec::new();
+        let mut out_of_range = Vec::new();
+        let mut chunk_records = Vec::new();
+        for (c, range) in board.chunk_tasks.into_iter().enumerate() {
+            let (lo, hi) = plan.bounds(c, starts.len());
+            let claimed = TraceEvent::ChunkClaimed {
+                chunk: c,
+                starts: hi - lo,
+            };
+            let mut results = Vec::with_capacity(range.len());
+            let (mut any_aborted, mut any_unclaimed) = (false, range.is_empty());
+            for slot in slots.by_ref().take(range.len()) {
+                match slot {
+                    TaskSlot::Done(result) => results.push(result),
+                    TaskSlot::Aborted => any_aborted = true,
+                    TaskSlot::Unclaimed => any_unclaimed = true,
+                }
+            }
+            if any_aborted {
+                // The aborted task's attempt tracers died with its attempts
+                // and the chunk's other tasks are discarded; account for the
+                // claim and the abort on the merged tracer, still in chunk
+                // order.
+                merged_tracer.on(claimed);
+                merged_tracer.on(TraceEvent::ChunkAborted { chunk: c });
+                aborted.push(c);
+            } else if !any_unclaimed {
+                // Claim and busy time are announced at merge, once per chunk,
+                // so the event stream is the same for every task schedule.
+                merged_tracer.on(claimed);
+                let first = records.len();
+                let mut nanos = 0u64;
+                for (outs, acc, tracer, busy) in results {
+                    total.merge(&acc);
+                    merged_tracer.absorb(tracer);
+                    nanos = nanos.saturating_add(busy);
+                    for (root, out, rec) in outs {
+                        outputs[root] = Some(out);
+                        records.push(rec);
+                    }
+                }
+                if T::TIMED {
+                    merged_tracer.on(TraceEvent::ChunkTimed { chunk: c, nanos });
+                }
+                merged_tracer.on(TraceEvent::ChunkMerged { chunk: c });
+                if done.is_some() {
+                    chunk_records.push((c, records[first..].to_vec()));
+                }
+            } else if done.is_some_and(|d| d[c]) {
+                // Checkpointed by an earlier run: nothing to merge.
+            } else if self.set.as_ref().is_some_and(|s| !s.contains(c)) {
+                // Another partition's work, deliberately left alone — not
+                // degradation.
+                out_of_range.push(c);
+            } else {
+                // Never admitted (deadline/quota/cancel): any tasks that did
+                // run are discarded, so no report or checkpoint holds half a
+                // chunk.
+                skipped.push(c);
+            }
+        }
+        Ok(ShardedRun {
+            report: RunReport { outputs, records },
+            acc: total,
+            tracer: merged_tracer,
+            aborted,
+            skipped,
+            out_of_range,
+            chunk_records,
+            workers,
+        })
     }
 }
 

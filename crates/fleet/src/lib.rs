@@ -13,9 +13,9 @@
 //! only *who* runs a chunk, never what the chunk produces. The
 //! supervisor operates entirely at that scheduling layer:
 //!
-//! * **Heartbeats are read-only.** Workers run with live checkpoints
-//!   (`VC_LIVE_CHECKPOINT=1`), so their part files gain a chunk after
-//!   every completed chunk, atomically (write-then-rename). The
+//! * **Heartbeats are read-only.** Workers run chunk-restricted
+//!   (`VC_CHUNKS`), so their part files gain a chunk after every
+//!   completed chunk, atomically (write-then-rename). The
 //!   supervisor observes chunk-count deltas in those files through the
 //!   single sanctioned clock ([`vc_trace::time::Stopwatch`], honoring
 //!   the VC006 no-hidden-clocks invariant) and writes nothing back.
@@ -107,7 +107,7 @@ pub struct LaunchSpec {
     /// `VC_CHUNKS={chunks}`.
     pub chunks: ChunkSet,
     /// The part checkpoint file this launch writes (and heartbeats
-    /// through, under `VC_LIVE_CHECKPOINT=1`).
+    /// through: a chunk-restricted run commits it after every chunk).
     pub part_path: PathBuf,
     /// The highest per-chunk attempt number in this launch (1 for
     /// initial slices).

@@ -12,7 +12,8 @@
 //!
 //! 1. **Healthy fleet.** Four worker processes (this same binary
 //!    re-executed with `--worker`) each run one contiguous
-//!    `VC_CHUNKS` slice with live checkpoints on; the supervisor merges
+//!    `VC_CHUNKS` slice, committing its part file after every chunk (a
+//!    chunk-restricted run always heartbeats); the supervisor merges
 //!    their part files (`target/fleet/part0..3.json`) into a checkpoint
 //!    asserted byte-identical to the serial run.
 //! 2. **Chaos matrix.** For each seeded [`vc_faults::KillPlan`], the
@@ -28,7 +29,7 @@
 //! machine-readable `target/fleet/FLEET_report.json`
 //! (`vc-fleet-drill/v1`), which CI validates with `check-json` and
 //! uploads as an artifact. Workers read their assignment from the
-//! `VC_CHUNKS` / `VC_LIVE_CHECKPOINT` variables the backend sets on the
+//! `VC_CHUNKS` / `VC_THREADS` variables the backend sets on the
 //! child process — the same ambient interface a real fleet launcher (or
 //! a human with four shells) would use.
 
@@ -95,9 +96,8 @@ fn run_worker(args: &[String]) {
         eprintln!("worker: cannot load {instance_path}: {e}");
         std::process::exit(2);
     });
-    // `from_env` picks up the supervisor-set `VC_CHUNKS`,
-    // `VC_LIVE_CHECKPOINT` and `VC_THREADS` — the worker binary itself
-    // has no assignment flags.
+    // `from_env` picks up the supervisor-set `VC_CHUNKS` and
+    // `VC_THREADS` — the worker binary itself has no assignment flags.
     let mut engine = Engine::from_env().unwrap_or_else(|e| {
         eprintln!("worker: {e}");
         std::process::exit(2);
@@ -176,7 +176,6 @@ impl WorkerBackend for ProcessBackend {
             .arg(&self.instance)
             .arg(&spec.part_path)
             .env("VC_CHUNKS", spec.chunks.to_string())
-            .env("VC_LIVE_CHECKPOINT", "1")
             .env("VC_THREADS", THREADS.to_string())
             .env_remove("VC_DEADLINE_MS")
             .env_remove("VC_FAULTS");

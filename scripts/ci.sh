@@ -122,6 +122,12 @@ run_tests() {
     # byte-identical result (asserted inside the example).
     step "VC_THREADS=2 fault sweep example" \
         env VC_THREADS=2 cargo run --release --example fault_sweep
+
+    # The same example under the ambient deadline: VC_DEADLINE_MS=0 must
+    # reach the engine through Engine::from_env and skip every chunk, so
+    # the example reports the stopped sweeps instead of the identity check.
+    step "VC_DEADLINE_MS=0 fault sweep example" \
+        sh -c 'VC_DEADLINE_MS=0 cargo run -q --release --example fault_sweep | grep -q "deadline stopped the sweeps"'
 }
 
 # ---------------------------------------------------------------------------
